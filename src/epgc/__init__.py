@@ -12,9 +12,7 @@ from .epg import (
     bundle_summary,
     complement_degree,
     enhanced_power_graph,
-    isolated_vertices,
     partition_by_maximal_cyclic,
-    reduced_complement,
 )
 from .graphs import (
     INFINITY,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import verify as verify_mod
 from .epg import build_bundle, bundle_summary, partition_by_maximal_cyclic
@@ -34,21 +33,6 @@ from .groups import (
 )
 from .subgraphs import chromatic_number, clique_number
 from .topology import DEFAULT_BUDGET, classify_surface, verdict_to_dict
-
-
-@dataclass
-class RunConfig:
-    command: str
-    group: str | None = None
-    graph: str = "reduced"
-    fmt: str = "text"
-    max_order: int = 15
-    budget: int = DEFAULT_BUDGET
-    claim: str | None = None
-    path: str | None = None
-    name: str | None = None
-    verbose: bool = False
-    cache_dir: str | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,37 +86,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        group=getattr(args, "group", None),
-        graph=getattr(args, "graph", "reduced"),
-        fmt=getattr(args, "format", "text"),
-        max_order=getattr(args, "max_order", 15),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        claim=getattr(args, "claim", None),
-        path=getattr(args, "file", None),
-        name=getattr(args, "name", None),
-        verbose=getattr(args, "verbose", False),
-        cache_dir=getattr(args, "cache_dir", None),
-    )
-
-
-def _cmd_list(config: RunConfig) -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     print(f"{'name':<12} {'order':>5} {'|M(G)|':>6}  sizes")
-    for g in catalog(config.max_order):
+    for g in catalog(args.max_order):
         fam = maximal_cyclic_subgroups(g)
         sizes = ",".join(str(s) for s in fam.sizes)
         print(f"{g.name:<12} {g.order:>5} {fam.count:>6}  [{sizes}]")
-    if config.max_order > 15:
+    if args.max_order > 15:
         print("note: orders 16..32 are a curated, non-exhaustive extension")
     return 0
 
 
-def _cmd_show(config: RunConfig) -> int:
-    bundle = build_bundle(group_from_name(config.group))
+def _cmd_show(args: argparse.Namespace) -> int:
+    bundle = build_bundle(group_from_name(args.group))
     summary = bundle_summary(bundle)
-    if config.fmt == "json":
+    if args.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     g = bundle.group
@@ -145,21 +113,21 @@ def _cmd_show(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_build(config: RunConfig) -> int:
-    bundle = build_bundle(group_from_name(config.group))
+def _cmd_build(args: argparse.Namespace) -> int:
+    bundle = build_bundle(group_from_name(args.group))
     graph = {
         "epg": bundle.epg,
         "complement": bundle.complement,
         "reduced": bundle.reduced,
-    }[config.graph]
-    if config.fmt == "dot":
+    }[args.graph]
+    if args.format == "dot":
         sys.stdout.write(to_dot(graph, name=bundle.group.name.replace("(", "_")))
-    elif config.fmt == "text":
+    elif args.format == "text":
         sys.stdout.write(to_adjacency_text(graph))
     else:
         payload = {
             "group": bundle.group.name,
-            "graph": config.graph,
+            "graph": args.graph,
             "n": graph.n,
             "edges": [list(e) for e in graph.edges()],
             "tags": list(graph.tags) if graph.tags else None,
@@ -168,8 +136,8 @@ def _cmd_build(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_invariants(config: RunConfig) -> int:
-    bundle = build_bundle(group_from_name(config.group))
+def _cmd_invariants(args: argparse.Namespace) -> int:
+    bundle = build_bundle(group_from_name(args.group))
     comp = bundle.complement
     reduced = bundle.reduced
     bip, _ = is_bipartite(comp)
@@ -198,7 +166,7 @@ def _cmd_invariants(config: RunConfig) -> int:
         }
     else:
         data["reduced"] = {"vertices": 0, "note": "vacuous (cyclic group)"}
-    if config.fmt == "json":
+    if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0
     print(f"group {data['group']} (order {data['order']}, |M(G)| = {data['maximal_cyclic_count']})")
@@ -209,14 +177,14 @@ def _cmd_invariants(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    bundle = build_bundle(group_from_name(config.group))
-    verdict = classify_surface(bundle, budget=config.budget, cache_dir=config.cache_dir)
-    if config.fmt == "json":
+def _cmd_classify(args: argparse.Namespace) -> int:
+    bundle = build_bundle(group_from_name(args.group))
+    verdict = classify_surface(bundle, budget=args.budget, cache_dir=args.cache_dir)
+    if args.format == "json":
         print(json.dumps(verdict_to_dict(verdict), indent=2, sort_keys=True))
         return 0
     d = verdict_to_dict(verdict)
-    print(f"group {config.group}: surface classification of the reduced complement")
+    print(f"group {args.group}: surface classification of the reduced complement")
     for key in ("outerplanar", "planar", "projective", "toroidal", "vacuous"):
         print(f"  {key}: {d[key]}")
     print(f"  genus in [{d['genus_lower']}, {d['genus_upper']}]")
@@ -226,33 +194,33 @@ def _cmd_classify(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    claims = None if config.claim is None else (config.claim,)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    claims = None if args.claim is None else (args.claim,)
     try:
         reports = verify_mod.run_all(
-            max_order=config.max_order,
-            budget=config.budget,
-            cache_dir=config.cache_dir,
+            max_order=args.max_order,
+            budget=args.budget,
+            cache_dir=args.cache_dir,
             claims=claims,
         )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if config.fmt == "json":
+    if args.format == "json":
         print(verify_mod.reports_to_json(reports))
     else:
         for r in reports:
-            print(verify_mod.render_report(r, verbose=config.verbose))
+            print(verify_mod.render_report(r, verbose=args.verbose))
             print()
         failed = sum(1 for r in reports if r.status == verify_mod.FAIL)
         print(f"{len(reports)} reports: {len(reports) - failed} ok, {failed} failed")
     return 1 if any(r.status == verify_mod.FAIL for r in reports) else 0
 
 
-def _cmd_ingest(config: RunConfig) -> int:
-    with open(config.path, "r", encoding="utf-8") as fh:
+def _cmd_ingest(args: argparse.Namespace) -> int:
+    with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
-    group = parse_cayley_table(text, name=config.name or "ingested")
+    group = parse_cayley_table(text, name=args.name or "ingested")
     fam = maximal_cyclic_subgroups(group)
     data = {
         "name": group.name,
@@ -266,7 +234,7 @@ def _cmd_ingest(config: RunConfig) -> int:
             if candidate.order == group.order and are_isomorphic(group, candidate):
                 data["catalog_match"] = candidate.name
                 break
-    if config.fmt == "json":
+    if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0
     print(f"valid group of order {data['order']}")
@@ -287,9 +255,9 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        return _DISPATCH[config.command](config)
+        return _DISPATCH[args.command](args)
     except (GroupError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -298,7 +266,7 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return run(_config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -88,17 +88,6 @@ def build_bundle(g: GroupTable, family: MaximalCyclicFamily | None = None) -> Ep
     )
 
 
-def isolated_vertices(bundle: EpgBundle) -> frozenset[int]:
-    """Elements lying in every maximal cyclic subgroup, equivalently the
-    zero-degree vertices of the complement."""
-    return bundle.isolated
-
-
-def reduced_complement(bundle: EpgBundle) -> SimpleGraph:
-    """Complement restricted to the non-isolated vertices."""
-    return bundle.reduced
-
-
 def complement_degree(bundle: EpgBundle, x: int) -> int:
     if not 0 <= x < bundle.group.order:
         raise GroupError(f"element index {x} out of range")

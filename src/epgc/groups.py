@@ -611,10 +611,6 @@ def catalog(max_order: int) -> tuple[GroupTable, ...]:
     return tuple(groups)
 
 
-def is_cyclic(g: GroupTable) -> bool:
-    return any(element_order(g, x) == g.order for x in range(g.order))
-
-
 def format_cayley_table(g: GroupTable) -> str:
     """Serialize a group in the plain-text ingestion format."""
     lines = [str(g.order)]

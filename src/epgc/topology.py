@@ -4,9 +4,14 @@ certificates for upper bounds.
 
 A rotation system lists the neighbors of each vertex in cyclic order; an
 optional edge signing (+1 flat, -1 twisted) turns it into a certificate for an
-embedding in a non-orientable surface.  Faces are traced combinatorially and
-the Euler relation V - E + F = 2 - 2*genus (orientable) or 2 - crosscap
-(non-orientable) yields the surface.
+embedding in a non-orientable surface.  One tracer handles both kinds: it
+follows (directed edge, side) states, an unsigned system counting as one with
+every edge flat, and the Euler relation V - E + F = 2 - 2*genus (orientable)
+or 2 - crosscap (non-orientable) on the traced face count yields the surface.
+One backtracking search over the same states finds both kinds of
+certificate.  Certificates can be cached as text files keyed by a digest of
+the graph's adjacency text, so one graph always maps to one entry whatever the
+group is called.
 
 Two non-orientable facts are pinned as published constants rather than
 recomputed: the crosscap of K_{2,2,2,2} is 3 (Jungerman 1979) and the crosscap
@@ -16,6 +21,7 @@ of K_{3,3,3} is 3 (Ellingham, Stephens and Zha 2006, Theorem 10).
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 from .epg import EpgBundle
@@ -26,6 +32,7 @@ from .graphs import (
     connected_components,
     girth,
     complement as graph_complement,
+    to_adjacency_text,
 )
 from .subgraphs import (
     contains_complete,
@@ -91,8 +98,9 @@ class RotationSystem:
                 raise EmbeddingError("edge signs must be +1 or -1")
 
     def sign_map(self) -> dict[tuple[int, int], int]:
+        """Sign of every edge; an unsigned system has every edge flat (+1)."""
         if self.edge_signs is None:
-            return {}
+            return {e: 1 for e in self.graph.edges()}
         return dict(self.edge_signs)
 
 
@@ -102,61 +110,40 @@ def _position_maps(rotations):
     ]
 
 
-def _trace_oriented(g: SimpleGraph, rotations) -> list[list[tuple[int, int]]]:
-    """Face walks of an unsigned rotation system (lists of directed edges)."""
-    pos = _position_maps(rotations)
-    used: set[tuple[int, int]] = set()
-    faces = []
-    for a in range(g.n):
-        for b in g.neighbors(a):
-            if (a, b) in used:
-                continue
-            walk = []
-            u, v = a, b
-            while (u, v) not in used:
-                used.add((u, v))
-                walk.append((u, v))
-                i = pos[v][u]
-                w = rotations[v][(i + 1) % len(rotations[v])]
-                u, v = v, w
-            if (u, v) != (a, b):
-                raise EmbeddingError("face tracing did not close at its start dart")
-            faces.append(walk)
-    if len(used) != 2 * g.edge_count:
-        raise EmbeddingError("face tracing did not cover every directed edge")
-    return faces
+def _trace(g: SimpleGraph, rotations, signs) -> list[list[tuple[int, int, int]]]:
+    """Orbits of the (dart, side) states of a signed rotation system.
 
-
-def _count_faces_signed(g: SimpleGraph, rotations, signs) -> int:
-    """Face count of a signed rotation system.
-
-    States are (directed edge, local orientation); the next-state map is a
-    permutation whose orbit count is exactly twice the face count.
+    State ``(u, v, o)`` is the dart u -> v on side o.  Crossing a twisted
+    edge flips the side; at v, side 0 turns to the successor of u in the
+    rotation and side 1 to its predecessor.  The next-state map is a
+    permutation and each face is one orbit per side, so the orbit count is
+    exactly twice the face count.
     """
     pos = _position_maps(rotations)
     used: set[tuple[int, int, int]] = set()
-    orbits = 0
+    orbits = []
     for a in range(g.n):
         for b in g.neighbors(a):
             for o0 in (0, 1):
                 if (a, b, o0) in used:
                     continue
-                orbits += 1
+                orbit = []
                 u, v, o = a, b, o0
                 while (u, v, o) not in used:
                     used.add((u, v, o))
-                    f = o ^ (1 if signs[_edge_key(u, v)] < 0 else 0)
+                    orbit.append((u, v, o))
+                    if signs[_edge_key(u, v)] < 0:
+                        o ^= 1
                     rot = rotations[v]
-                    i = pos[v][u]
-                    w = rot[(i + 1) % len(rot)] if f == 0 else rot[(i - 1) % len(rot)]
-                    u, v, o = v, w, f
+                    u, v = v, rot[(pos[v][u] + 1 - 2 * o) % len(rot)]
                 if (u, v, o) != (a, b, o0):
-                    raise EmbeddingError("signed face tracing did not close at its start")
+                    raise EmbeddingError("face tracing did not close at its start state")
+                orbits.append(orbit)
     if len(used) != 4 * g.edge_count:
-        raise EmbeddingError("signed face tracing did not cover every edge side")
-    if orbits % 2:
-        raise EmbeddingError("signed face tracing produced an odd orbit count")
-    return orbits // 2
+        raise EmbeddingError("face tracing did not cover every edge side")
+    if len(orbits) % 2:
+        raise EmbeddingError("face tracing produced an odd orbit count")
+    return orbits
 
 
 def _signature_orientable(g: SimpleGraph, signs) -> bool:
@@ -195,15 +182,8 @@ def verify_embedding(cert: RotationSystem) -> tuple[str, int]:
     if m == 0:
         # a single vertex sits on the sphere with one face
         return "orientable", 0
-    if cert.edge_signs is None:
-        faces = len(_trace_oriented(g, cert.rotations))
-        chi = n - m + faces
-        if chi > 2 or (2 - chi) % 2:
-            raise EmbeddingError(f"impossible Euler characteristic {chi} for an orientable surface")
-        return "orientable", (2 - chi) // 2
     signs = cert.sign_map()
-    faces = _count_faces_signed(g, cert.rotations, signs)
-    chi = n - m + faces
+    chi = n - m + len(_trace(g, cert.rotations, signs)) // 2
     if _signature_orientable(g, signs):
         if chi > 2 or (2 - chi) % 2:
             raise EmbeddingError(f"impossible Euler characteristic {chi} for an orientable surface")
@@ -217,7 +197,8 @@ def face_walks(cert: RotationSystem) -> list[list[tuple[int, int]]]:
     """Face boundary walks of an unsigned certificate (for reports/tests)."""
     if cert.edge_signs is not None:
         raise EmbeddingError("face walks are reported for unsigned certificates only")
-    return _trace_oriented(cert.graph, cert.rotations)
+    orbits = _trace(cert.graph, cert.rotations, cert.sign_map())
+    return [[(u, v) for u, v, _ in orbit] for orbit in orbits if orbit[0][2] == 0]
 
 
 def _face_min_length(g: SimpleGraph) -> int:
@@ -262,117 +243,141 @@ def search_embedding(
         return None
     if orientable:
         faces_target = m - g.n + 2 - 2 * target_genus
-    else:
-        if target_genus != 1:
-            return None
+    elif target_genus == 1:
         faces_target = m - g.n + 2 - 1
+    else:
+        return None
     if faces_target < 1:
         return None
-    face_min = _face_min_length(g)
-    if orientable:
-        found = _search_oriented(g, faces_target, face_min, budget)
-        if found is None:
-            return None
-        cert = RotationSystem(g, found)
-        kind, value = verify_embedding(cert)
-        if kind != "orientable" or value != target_genus:
-            raise EmbeddingError("search produced a certificate at the wrong surface")
-        return cert
-    found = _search_signed(g, 2 * faces_target, face_min, budget)
+    found = _search(g, faces_target, _face_min_length(g), budget, signed=not orientable)
     if found is None:
         return None
-    rotations, signs = found
-    cert = RotationSystem(g, rotations, tuple(sorted(signs.items())))
+    cert = RotationSystem(g, *found)
     kind, value = verify_embedding(cert)
-    if kind != "nonorientable" or value != target_genus:
+    if (kind == "orientable") != orientable or value != target_genus:
         raise EmbeddingError("search produced a certificate at the wrong surface")
     return cert
 
 
-def _search_oriented(g: SimpleGraph, faces_target: int, face_min: int, budget: int):
+def _search(g: SimpleGraph, faces_target: int, face_min: int, budget: int, signed: bool):
+    """Backtracking search over the (dart, side) states that :func:`_trace`
+    follows, fixing a rotation link or an edge sign the first time a face
+    walk needs it.
+
+    An unsigned search keeps every edge flat and walks side 0 only, so each
+    orbit is a face.  A signed search keeps the spanning-tree edges flat,
+    branches on the sign of each co-tree edge (flat first), walks both sides,
+    so each face is two orbits, and needs a twisted edge at the end.  Returns
+    ``(rotations, edge_signs)``, with ``edge_signs`` None when unsigned, or
+    None when the search space is exhausted.
+    """
     n = g.n
     nbrs = [g.neighbors(v) for v in range(n)]
     deg = [len(x) for x in nbrs]
-    total_darts = 2 * g.edge_count
     succ: list[dict[int, int]] = [dict() for _ in range(n)]
     pred: list[dict[int, int]] = [dict() for _ in range(n)]
-    used: set[tuple[int, int]] = set()
+    # links[v][f]: the links side f follows at v, and their inverse
+    links = [((succ[v], pred[v]), (pred[v], succ[v])) for v in range(n)]
+    # twist[u][v] = twist[v][u]: 1 for a twisted edge, 0 for a flat one
+    twist: list[dict[int, int]] = [dict() for _ in range(n)]
+    if signed:
+        seen = {0}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for w in nbrs[u]:
+                if w not in seen:
+                    seen.add(w)
+                    twist[u][w] = twist[w][u] = 0
+                    stack.append(w)
+        walks_target = 2 * faces_target
+    else:
+        for u in range(n):
+            twist[u] = dict.fromkeys(nbrs[u], 0)
+        walks_target = faces_target
+    all_states = [
+        (u, v, o) for u in range(n) for v in nbrs[u] for o in ((0, 1) if signed else (0,))
+    ]
+    total_states = len(all_states)
+    used: set[tuple[int, int, int]] = set()
     nodes = 0
-    all_darts = [(u, v) for u in range(n) for v in nbrs[u]]
-
-    def can_link(v, u, w):
-        if u == w:
-            return deg[v] == 1
-        size = 2
-        cur = w
-        while cur in succ[v]:
-            cur = succ[v][cur]
-            if cur == u:
-                return size == deg[v]
-            size += 1
-        return True
-
-    def bound_ok(faces_closed, walk_len):
-        d_rem = total_darts - len(used)
-        need = max(0, face_min - walk_len)
-        if d_rem < need:
-            return False
-        return faces_closed + 1 + (d_rem - need) // face_min >= faces_target
 
     def start_face(faces_closed):
-        if len(used) == total_darts:
-            return faces_closed == faces_target
-        if faces_closed >= faces_target:
+        if len(used) == total_states:
+            # a signed certificate must have a non-orientable signature
+            return faces_closed == walks_target and (
+                not signed or any(1 in t.values() for t in twist)
+            )
+        if faces_closed >= walks_target:
             return False
-        for d0 in all_darts:
-            if d0 not in used:
-                used.add(d0)
-                ok = advance(d0, d0[0], d0[1], 1, faces_closed)
+        for s0 in all_states:
+            if s0 not in used:
+                used.add(s0)
+                ok = advance(s0, s0[0], s0[1], s0[2], 1, faces_closed)
                 if not ok:
-                    used.discard(d0)
+                    used.discard(s0)
                 return ok
         return False
 
-    def advance(start, u, v, walk_len, faces_closed):
+    def advance(start, u, v, o, walk_len, faces_closed):
         nonlocal nodes
-        if not bound_ok(faces_closed, walk_len):
+        d_rem = total_states - len(used)
+        need = max(0, face_min - walk_len)
+        if d_rem < need or faces_closed + 1 + (d_rem - need) // face_min < walks_target:
             return False
-        w_known = succ[v].get(u)
-        if w_known is not None:
-            return step(start, u, v, w_known, walk_len, faces_closed)
-        for w in nbrs[v]:
-            if w in pred[v]:
-                continue
-            if not can_link(v, u, w):
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            succ[v][u] = w
-            pred[v][w] = u
-            if step(start, u, v, w, walk_len, faces_closed):
-                return True
-            del succ[v][u]
-            del pred[v][w]
+        known = twist[v].get(u)
+        for t in (0, 1) if known is None else (known,):
+            if known is None:
+                nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetExceeded(nodes)
+                twist[u][v] = twist[v][u] = t
+            f = o ^ t
+            fwd, back = links[v][f]
+            w_known = fwd.get(u)
+            for w in nbrs[v] if w_known is None else (w_known,):
+                if w_known is None:
+                    if w in back:
+                        continue
+                    # refuse a link that closes the rotation at v too early
+                    if w == u:
+                        if deg[v] != 1:
+                            continue
+                    else:
+                        size, cur = 2, w
+                        while cur in fwd:
+                            cur = fwd[cur]
+                            if cur == u:
+                                break
+                            size += 1
+                        if cur == u and size != deg[v]:
+                            continue
+                    nodes += 1
+                    if nodes > budget:
+                        raise SearchBudgetExceeded(nodes)
+                    fwd[u] = w
+                    back[w] = u
+                nxt = (v, w, f)
+                if nxt == start:
+                    if walk_len >= face_min and start_face(faces_closed + 1):
+                        return True
+                elif nxt not in used:
+                    used.add(nxt)
+                    if advance(start, v, w, f, walk_len + 1, faces_closed):
+                        return True
+                    used.discard(nxt)
+                if w_known is None:
+                    del fwd[u], back[w]
+        if known is None:
+            del twist[u][v], twist[v][u]
         return False
 
-    def step(start, u, v, w, walk_len, faces_closed):
-        nd = (v, w)
-        if nd == start:
-            if walk_len < face_min:
-                return False
-            return start_face(faces_closed + 1)
-        if nd in used:
-            return False
-        used.add(nd)
-        if advance(start, v, w, walk_len + 1, faces_closed):
-            return True
-        used.discard(nd)
-        return False
-
-    if start_face(0):
-        return tuple(_rotation_from_links(nbrs[v], succ[v], v) for v in range(n))
-    return None
+    if not start_face(0):
+        return None
+    rotations = tuple(_rotation_from_links(nbrs[v], succ[v], v) for v in range(n))
+    if not signed:
+        return rotations, None
+    return rotations, tuple(((u, v), -1 if twist[u][v] else 1) for u, v in g.edges())
 
 
 def _rotation_from_links(neighbors, links, v):
@@ -387,149 +392,6 @@ def _rotation_from_links(neighbors, links, v):
     if len(out) != len(neighbors):
         raise EmbeddingError(f"rotation at vertex {v} did not close into one cycle")
     return tuple(out)
-
-
-def _search_signed(g: SimpleGraph, walks_target: int, face_min: int, budget: int):
-    """Search rotations plus edge signs reaching ``walks_target`` state orbits.
-
-    Tree edges are normalized to +1; at least one co-tree edge must end up
-    negative so the signature is genuinely non-orientable.
-    """
-    n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
-    deg = [len(x) for x in nbrs]
-    total_states = 4 * g.edge_count
-    succ: list[dict[int, int]] = [dict() for _ in range(n)]
-    pred: list[dict[int, int]] = [dict() for _ in range(n)]
-    used: set[tuple[int, int, int]] = set()
-    signs: dict[tuple[int, int], int] = {}
-    nodes = 0
-
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in nbrs[u]:
-            if w not in seen:
-                seen.add(w)
-                signs[_edge_key(u, w)] = 1
-                stack.append(w)
-    all_states = [
-        (u, v, o) for u in range(n) for v in nbrs[u] for o in (0, 1)
-    ]
-
-    def can_link(v, u, w):
-        if u == w:
-            return deg[v] == 1
-        size = 2
-        cur = w
-        while cur in succ[v]:
-            cur = succ[v][cur]
-            if cur == u:
-                return size == deg[v]
-            size += 1
-        return True
-
-    def bound_ok(faces_closed, walk_len):
-        d_rem = total_states - len(used)
-        need = max(0, face_min - walk_len)
-        if d_rem < need:
-            return False
-        return faces_closed + 1 + (d_rem - need) // face_min >= walks_target
-
-    def start_face(faces_closed):
-        if len(used) == total_states:
-            if faces_closed != walks_target:
-                return False
-            return any(s < 0 for s in signs.values())
-        if faces_closed >= walks_target:
-            return False
-        for s0 in all_states:
-            if s0 not in used:
-                used.add(s0)
-                ok = advance(s0, s0[0], s0[1], s0[2], 1, faces_closed)
-                if not ok:
-                    used.discard(s0)
-                return ok
-        return False
-
-    def advance(start, u, v, o, walk_len, faces_closed):
-        nonlocal nodes
-        if not bound_ok(faces_closed, walk_len):
-            return False
-        key = _edge_key(u, v)
-        s = signs.get(key)
-        if s is None:
-            for s_try in (1, -1):
-                nodes += 1
-                if nodes > budget:
-                    raise SearchBudgetExceeded(nodes)
-                signs[key] = s_try
-                if after_sign(start, u, v, o, s_try, walk_len, faces_closed):
-                    return True
-                del signs[key]
-            return False
-        return after_sign(start, u, v, o, s, walk_len, faces_closed)
-
-    def after_sign(start, u, v, o, s, walk_len, faces_closed):
-        nonlocal nodes
-        f = o ^ (1 if s < 0 else 0)
-        if f == 0:
-            w_known = succ[v].get(u)
-            if w_known is not None:
-                return step(start, v, w_known, f, walk_len, faces_closed)
-            for w in nbrs[v]:
-                if w in pred[v]:
-                    continue
-                if not can_link(v, u, w):
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    raise SearchBudgetExceeded(nodes)
-                succ[v][u] = w
-                pred[v][w] = u
-                if step(start, v, w, f, walk_len, faces_closed):
-                    return True
-                del succ[v][u]
-                del pred[v][w]
-            return False
-        w_known = pred[v].get(u)
-        if w_known is not None:
-            return step(start, v, w_known, f, walk_len, faces_closed)
-        for w in nbrs[v]:
-            if w in succ[v]:
-                continue
-            if not can_link(v, w, u):
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            succ[v][w] = u
-            pred[v][u] = w
-            if step(start, v, w, f, walk_len, faces_closed):
-                return True
-            del succ[v][w]
-            del pred[v][u]
-        return False
-
-    def step(start, v, w, f, walk_len, faces_closed):
-        ns = (v, w, f)
-        if ns == start:
-            if walk_len < face_min:
-                return False
-            return start_face(faces_closed + 1)
-        if ns in used:
-            return False
-        used.add(ns)
-        if advance(start, v, w, f, walk_len + 1, faces_closed):
-            return True
-        used.discard(ns)
-        return False
-
-    if start_face(0):
-        rotations = tuple(_rotation_from_links(nbrs[v], succ[v], v) for v in range(n))
-        return rotations, dict(signs)
-    return None
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -713,12 +575,16 @@ def _cached_search(
     orientable: bool,
     budget: int,
     cache_dir: str | None,
-    cache_key: str | None,
 ):
     path = None
-    if cache_dir and cache_key:
+    if cache_dir:
+        # imported here: hashlib maps OpenSSL, about 3.5 MB resident, which
+        # runs without a cache never need
+        import hashlib
+
         kind = "genus" if orientable else "crosscap"
-        path = os.path.join(cache_dir, f"{cache_key}_{kind}{target}.cert")
+        digest = hashlib.sha256(to_adjacency_text(g).encode("utf-8")).hexdigest()[:16]
+        path = os.path.join(cache_dir, f"{digest}_{kind}{target}.cert")
         if os.path.exists(path):
             try:
                 with open(path, "r", encoding="utf-8") as fh:
@@ -731,8 +597,15 @@ def _cached_search(
     cert = search_embedding(g, target, orientable=orientable, budget=budget)
     if cert is not None and path is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(rotation_to_text(cert))
+        # write aside and rename, so a reader never sees a partial entry
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(rotation_to_text(cert))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return cert
 
 
@@ -784,9 +657,20 @@ def classify_surface(
     if planar:
         evidence.append("planar: no K5 or K3,3 subdivision (exhaustive search)")
         try:
-            cert0 = _cached_search(reduced, 0, True, budget, cache_dir, name)
+            cert0 = _cached_search(reduced, 0, True, budget, cache_dir)
         except SearchBudgetExceeded:
-            cert0 = None
+            evidence.append("genus-0 certificate search: budget exhausted (inconclusive)")
+            return SurfaceVerdict(
+                group_name=name,
+                outerplanar=outer,
+                planar=True,
+                genus_lower=0,
+                genus_upper=None,
+                crosscap_lower=0,
+                crosscap_upper=None,
+                evidence=evidence,
+                budget_limited=True,
+            )
         if cert0 is None:
             raise EmbeddingError(
                 f"{name}: planar by subdivision search but no genus-0 certificate found"
@@ -844,7 +728,7 @@ def classify_surface(
 
     if genus_lower == 1 and (genus_upper is None or genus_upper == 1) and reduced.n <= SEARCH_MAX_VERTICES:
         try:
-            cert1 = _cached_search(reduced, 1, True, budget, cache_dir, name)
+            cert1 = _cached_search(reduced, 1, True, budget, cache_dir)
         except SearchBudgetExceeded:
             cert1 = None
             budget_limited = True
@@ -861,7 +745,7 @@ def classify_surface(
 
     if crosscap_upper is None and crosscap_lower == 1 and reduced.n <= SEARCH_MAX_VERTICES:
         try:
-            certn = _cached_search(reduced, 1, False, budget, cache_dir, name)
+            certn = _cached_search(reduced, 1, False, budget, cache_dir)
         except SearchBudgetExceeded:
             certn = None
             budget_limited = True

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's own algorithms: totients by
 gcd counting, enhanced-power-graph adjacency by sweeping generators, planarity
-by minor search, isomorphism and cliques by raw enumeration.
+by minor search, isomorphism and cliques by raw enumeration, surface
+embeddings by enumerating every rotation system and counting faces on the
+flag graph of the map.
 """
 
 from __future__ import annotations
@@ -160,3 +162,131 @@ def planar_by_minors(g: SimpleGraph) -> bool:
     if g.n >= 3 and g.edge_count > 3 * g.n - 6:
         return False
     return not has_complete_minor(g, 5) and not has_k33_minor(g)
+
+
+def connected_graphs(max_n: int) -> list[SimpleGraph]:
+    """One connected graph per isomorphism class on 1..max_n vertices."""
+    out = []
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        perms = list(itertools.permutations(range(n)))
+        seen: set[tuple[tuple[int, int], ...]] = set()
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            g = SimpleGraph(n, edges=edges)
+            if not _connected_mask(g, (1 << n) - 1):
+                continue
+            canon = min(
+                tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+                for p in perms
+            )
+            if canon not in seen:
+                seen.add(canon)
+                out.append(g)
+    return out
+
+
+def _flag_moves(g: SimpleGraph, rotations, twisted):
+    """Corner and edge involutions on the flags ``(v, w, s)``: the end at v
+    of edge vw, on the side that faces the successor (s = 0) or the
+    predecessor (s = 1) of w in the rotation at v."""
+    moves = []
+    for v, rot in enumerate(rotations):
+        for i, w in enumerate(rot):
+            moves.append(((v, w, 0), (v, rot[(i + 1) % len(rot)], 1)))  # corner
+    for u, v in g.edges():
+        flip = 0 if (u, v) in twisted else 1
+        for s in (0, 1):
+            moves.append(((u, v, s), (v, u, s ^ flip)))  # edge
+    return moves
+
+
+def _face_count(moves) -> int:
+    """Faces are the orbits of the corner and edge involutions."""
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in moves:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in list(parent)})
+
+
+def _flags_bipartite(moves) -> bool:
+    """The surface is orientable iff the flag graph of the corner, edge and
+    side involutions is bipartite."""
+    adjacent: dict = {}
+    sides = [((v, w, 0), (v, w, 1)) for (v, w, s), _ in moves if s == 0]
+    for a, b in moves + sides:
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
+    colour = {}
+    for root in adjacent:
+        if root in colour:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in adjacent[x]:
+                if y not in colour:
+                    colour[y] = colour[x] ^ 1
+                    stack.append(y)
+                elif colour[y] == colour[x]:
+                    return False
+    return True
+
+
+def map_surface(g: SimpleGraph, rotations, twisted) -> tuple[str, int]:
+    """Surface of a rotation system with the edges in ``twisted`` twisted.
+    The graph must be connected and have an edge."""
+    moves = _flag_moves(g, rotations, twisted)
+    chi = g.n - g.edge_count + _face_count(moves)
+    if _flags_bipartite(moves):
+        return "orientable", (2 - chi) // 2
+    return "nonorientable", 2 - chi
+
+
+def embeds_exactly(g: SimpleGraph, target: int, orientable: bool) -> bool:
+    """Whether some rotation system embeds the connected graph in exactly the
+    orientable surface of genus ``target``, or the non-orientable surface of
+    crosscap ``target``.
+
+    Orientable targets try every rotation system with every edge flat.
+    Non-orientable targets also try every signing of the edges outside a
+    spanning tree; keeping the tree flat loses nothing, because flipping the
+    side convention at a vertex twists or untwists all its edges at once.
+    """
+    if g.edge_count == 0:
+        return orientable and target == 0
+    tree: set[tuple[int, int]] = set()
+    reached = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in g.neighbors(v):
+            if w not in reached:
+                reached.add(w)
+                tree.add((min(v, w), max(v, w)))
+                stack.append(w)
+    cotree = [e for e in g.edges() if e not in tree]
+    signings = [set()]
+    if not orientable:
+        signings = [
+            {e for e, t in zip(cotree, bits) if t}
+            for bits in itertools.product((0, 1), repeat=len(cotree))
+        ]
+    choices = []
+    for v in range(g.n):
+        first, *rest = g.neighbors(v)
+        choices.append([(first, *p) for p in itertools.permutations(rest)])
+    faces = g.edge_count - g.n + 2 - (2 * target if orientable else target)
+    for rotations in itertools.product(*choices):
+        for twisted in signings:
+            moves = _flag_moves(g, rotations, twisted)
+            if _face_count(moves) == faces and _flags_bipartite(moves) == orientable:
+                return True
+    return False

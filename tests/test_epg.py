@@ -9,9 +9,7 @@ from epgc.epg import (
     complement_degree,
     covering_union_size,
     enhanced_power_graph,
-    isolated_vertices,
     partition_by_maximal_cyclic,
-    reduced_complement,
 )
 from epgc.graphs import connected_components
 from epgc.groups import (
@@ -74,20 +72,20 @@ class TestEnhancedPowerGraph:
 class TestIsolated:
     def test_cyclic_all_isolated(self):
         bundle = build_bundle(make_cyclic(12))
-        assert isolated_vertices(bundle) == frozenset(range(12))
+        assert bundle.isolated == frozenset(range(12))
         assert bundle.reduced.n == 0
 
     def test_q8(self):
         bundle = build_bundle(group_from_name("Q8"))
         q8 = bundle.group
-        assert isolated_vertices(bundle) == {
+        assert bundle.isolated == {
             label_index(q8, "1"),
             label_index(q8, "-1"),
         }
 
     def test_s3_identity_only(self):
         bundle = build_bundle(group_from_name("S3"))
-        assert isolated_vertices(bundle) == {0}
+        assert bundle.isolated == {0}
 
     def test_isolated_equals_intersection(self):
         for g in catalog(15):
@@ -98,7 +96,7 @@ class TestIsolated:
 class TestReduced:
     def test_klein_four_reduced_is_k3(self):
         bundle = build_bundle(group_from_name("Z2xZ2"))
-        r = reduced_complement(bundle)
+        r = bundle.reduced
         assert r.n == 3 and r.edge_count == 3
 
     def test_z2_cubed_reduced_is_k7(self):

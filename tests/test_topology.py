@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from epgc.cli import main
 from epgc.epg import build_bundle
 from epgc.graphs import (
     GraphError,
@@ -8,7 +11,7 @@ from epgc.graphs import (
     complete_graph,
     cycle_graph,
 )
-from epgc.groups import group_from_name, make_cyclic
+from epgc.groups import format_cayley_table, group_from_name, make_cyclic, parse_cayley_table
 from epgc.topology import (
     EmbeddingError,
     RotationSystem,
@@ -29,6 +32,7 @@ from epgc.topology import (
     verdict_to_dict,
     verify_embedding,
 )
+from oracles import connected_graphs, embeds_exactly, map_surface
 
 
 class TestRotationSystem:
@@ -164,6 +168,27 @@ class TestSearchEmbedding:
             edges += list(itertools.combinations(block, 2))
         g = SimpleGraph(9, edges=edges)
         assert search_embedding(g, 1, budget=10**8) is None
+
+
+@pytest.fixture(scope="module")
+def small_graphs():
+    return connected_graphs(5) + [complete_bipartite(3, 3)]
+
+
+class TestSearchAgainstOracle:
+    """The search against every rotation system (and every co-tree signing)
+    of each connected graph on at most 5 vertices, plus K3,3, surfaced by the
+    oracle's own flag-based tracer."""
+
+    @pytest.mark.parametrize("target,orientable", [(0, True), (1, True), (1, False)])
+    def test_certificate_exactly_when_reachable(self, small_graphs, target, orientable):
+        kind = "orientable" if orientable else "nonorientable"
+        for g in small_graphs:
+            cert = search_embedding(g, target, orientable=orientable)
+            assert (cert is not None) == embeds_exactly(g, target, orientable), g.edges()
+            if cert is not None and g.edge_count:
+                twisted = {e for e, s in cert.edge_signs or () if s < 0}
+                assert map_surface(g, cert.rotations, twisted) == (kind, target), g.edges()
 
 
 class TestFormulas:
@@ -327,6 +352,18 @@ class TestClassifySurface:
         # the pinned crosscap is untouched by the budget
         assert (v.crosscap_lower, v.crosscap_upper) == (3, 3)
 
+    def test_planar_budget_limited_is_inconclusive(self, capsys):
+        v = classify_surface(build_bundle(group_from_name("Z2xZ2")), budget=1)
+        assert v.planar and v.budget_limited
+        assert (v.genus_lower, v.genus_upper) == (0, None)
+        assert (v.crosscap_lower, v.crosscap_upper) == (0, None)
+        assert not v.certificates
+        assert main(["classify", "--group", "Z2xZ2", "--budget", "1", "--format", "json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["planar"] and d["budget_limited"]
+        assert d["genus_upper"] is None and d["crosscap_upper"] is None
+        assert any("budget exhausted" in e for e in d["evidence"])
+
     def test_verdict_dict_round_trips_certificates(self):
         v = classify_surface(build_bundle(group_from_name("D8")))
         d = verdict_to_dict(v)
@@ -362,13 +399,38 @@ class TestCertificateIO:
         monkeypatch.setenv("EPGC_CERT_DIR", str(tmp_path))
         bundle = build_bundle(group_from_name("Z2xZ4"))
         classify_surface(bundle)
-        assert any("Z2xZ4" in p.name for p in tmp_path.iterdir())
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert [n.split("_")[1] for n in names] == ["crosscap1.cert", "genus1.cert"]
 
     def test_stale_cache_entry_is_researched(self, tmp_path):
         bundle = build_bundle(group_from_name("D8"))
-        (tmp_path / "D8_genus1.cert").write_text("garbage\n", encoding="utf-8")
+        classify_surface(bundle, cache_dir=str(tmp_path))
+        for entry in tmp_path.iterdir():
+            entry.write_text("garbage\n", encoding="utf-8")
         v = classify_surface(bundle, cache_dir=str(tmp_path))
-        assert v.toroidal
+        assert v.toroidal and v.projective
+        assert all("garbage" not in p.read_text() for p in tmp_path.iterdir())
+
+    def test_cache_is_keyed_by_graph_not_name(self, tmp_path, monkeypatch):
+        import epgc.topology as topology
+
+        def ingested(name):
+            text = format_cayley_table(group_from_name(name))
+            return build_bundle(parse_cayley_table(text, name="ingested"))
+
+        first = [classify_surface(ingested(n), cache_dir=str(tmp_path)) for n in ("D8", "Z2xZ4")]
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert len(names) == 4
+        assert sum(n.endswith("_genus1.cert") for n in names) == 2
+        assert sum(n.endswith("_crosscap1.cert") for n in names) == 2
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("certificate should come from the cache")
+
+        monkeypatch.setattr(topology, "search_embedding", no_search)
+        again = classify_surface(ingested("D8"), cache_dir=str(tmp_path))
+        assert verdict_to_dict(again) == verdict_to_dict(first[0])
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
 
     def test_multipartite_detection(self):
         assert complete_multipartite_parts(complete_graph(7)) == (1,) * 7
