@@ -48,8 +48,6 @@ from .groups import (
 from .subgraphs import (
     chromatic_number,
     clique_number,
-    contains_complete,
-    contains_complete_bipartite,
     contains_subdivision,
 )
 from .topology import (
@@ -58,9 +56,7 @@ from .topology import (
     SurfaceVerdict,
     classify_surface,
     crosscap_complete,
-    crosscap_complete_bipartite,
     genus_complete,
-    genus_complete_bipartite,
     is_outerplanar,
     is_planar,
     search_embedding,

@@ -75,45 +75,6 @@ def clique_number(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     return best_size, witness
 
 
-def contains_complete(g: SimpleGraph, r: int) -> tuple[bool, tuple[int, ...] | None]:
-    """Does the graph contain K_r as a subgraph (i.e. omega >= r)?"""
-    _check_cap(g)
-    if r <= 0:
-        return True, ()
-    if r == 1:
-        return (g.n >= 1), ((0,) if g.n >= 1 else None)
-    if r > g.n:
-        return False, None
-    rows = [g.adjacency_row(v) for v in range(g.n)]
-    found: list[tuple[int, ...]] = []
-
-    def expand(rstack, pmask):
-        if found:
-            return
-        if len(rstack) == r:
-            found.append(tuple(rstack))
-            return
-        if len(rstack) + pmask.bit_count() < r:
-            return
-        rest = pmask
-        while rest and not found:
-            v = (rest & -rest).bit_length() - 1
-            rest &= ~(1 << v)
-            if len(rstack) + 1 + rest.bit_count() < r:
-                return
-            rstack.append(v)
-            expand(rstack, rest & rows[v])
-            rstack.pop()
-
-    expand([], (1 << g.n) - 1)
-    if not found:
-        return False, None
-    witness = tuple(sorted(found[0]))
-    if not _is_clique(g, witness):
-        raise GraphError("clique search produced an invalid witness")
-    return True, witness
-
-
 def _is_proper(g: SimpleGraph, coloring) -> bool:
     if len(coloring) != g.n:
         return False
@@ -211,66 +172,6 @@ def _k_coloring(g: SimpleGraph, k: int, clique) -> list[int] | None:
     if solve(len(clique), len(clique) - 1):
         return coloring
     return None
-
-
-def contains_complete_bipartite(
-    g: SimpleGraph, a: int, b: int
-) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Does the graph contain K_{a,b} as a subgraph (not necessarily induced)?
-
-    Searches for disjoint vertex sets A, B with every cross pair adjacent;
-    edges inside A or B are irrelevant.
-    """
-    _check_cap(g)
-    if a <= 0 or b <= 0:
-        raise GraphError(f"part sizes must be positive, got ({a}, {b})")
-    if a > b:
-        swapped = contains_complete_bipartite(g, b, a)
-        if swapped[1] is None:
-            return swapped
-        ok, (bb, aa) = swapped
-        return ok, (aa, bb)
-    if a + b > g.n:
-        return False, None
-    rows = [g.adjacency_row(v) for v in range(g.n)]
-    # A-side members need degree >= b, B-side candidates degree >= a
-    a_ok = [v for v in range(g.n) if rows[v].bit_count() >= b]
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def choose(start, chosen, common):
-        if found:
-            return
-        if len(chosen) == a:
-            cands = common & ~sum(1 << v for v in chosen)
-            if cands.bit_count() >= b:
-                bs = []
-                for w in _bits(cands):
-                    bs.append(w)
-                    if len(bs) == b:
-                        break
-                found.append((tuple(chosen), tuple(bs)))
-            return
-        for idx in range(start, len(a_ok)):
-            v = a_ok[idx]
-            if len(a_ok) - idx < a - len(chosen):
-                return
-            newc = common & rows[v]
-            # the remaining B side must fit outside the chosen A vertices
-            if newc.bit_count() < b:
-                continue
-            chosen.append(v)
-            choose(idx + 1, chosen, newc)
-            chosen.pop()
-
-    choose(0, [], (1 << g.n) - 1)
-    if not found:
-        return False, None
-    aa, bb = found[0]
-    for u in aa:
-        for v in bb:
-            if not g.has_edge(u, v):
-                raise GraphError("bipartite search produced an invalid witness")
-    return True, (aa, bb)
 
 
 # target name -> (branch vertex count, required branch degrees, edges, parts)

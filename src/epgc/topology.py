@@ -1,6 +1,7 @@
 """Surface embeddings: exact outerplanarity/planarity, genus and crosscap
-bounds from forbidden subgraphs plus closed-form formulas, and rotation-system
-certificates for upper bounds.
+lower bounds from Euler's formula with faces at least as long as the girth
+(exact closed forms for complete graphs), and rotation-system certificates for
+upper bounds.
 
 A rotation system lists the neighbors of each vertex in cyclic order; an
 optional edge signing (+1 flat, -1 twisted) turns it into a certificate for an
@@ -34,12 +35,7 @@ from .graphs import (
     complement as graph_complement,
     to_adjacency_text,
 )
-from .subgraphs import (
-    contains_complete,
-    contains_complete_bipartite,
-    contains_subdivision,
-    _is_clique,
-)
+from .subgraphs import contains_subdivision, _is_clique
 
 DEFAULT_BUDGET = 10**8
 
@@ -49,9 +45,6 @@ PINNED_CROSSCAP = {
     (2, 2, 2, 2): (3, "pinned: crosscap(K_{2,2,2,2}) = 3 [Jungerman 1979]"),
     (3, 3, 3): (3, "pinned: crosscap(K_{3,3,3}) = 3 [Ellingham-Stephens-Zha 2006, Thm 10]"),
 }
-
-OBSTRUCTION_COMPLETE = (5, 7, 8)
-OBSTRUCTION_BIPARTITE = ((3, 3), (4, 4), (4, 5), (4, 6), (5, 6), (4, 8))
 
 
 class EmbeddingError(ValueError):
@@ -405,13 +398,6 @@ def genus_complete(n: int) -> int:
     return _ceil_div((n - 3) * (n - 4), 12)
 
 
-def genus_complete_bipartite(m: int, n: int) -> int:
-    """Genus of K_{m,n} (m, n >= 2)."""
-    if m < 2 or n < 2:
-        raise GraphError(f"complete-bipartite genus formula needs m, n >= 2, got ({m}, {n})")
-    return _ceil_div((m - 2) * (n - 2), 4)
-
-
 def crosscap_complete(n: int) -> int:
     """Crosscap of the complete graph on n vertices (n >= 3); K7 is the
     exceptional case with crosscap 3."""
@@ -422,44 +408,27 @@ def crosscap_complete(n: int) -> int:
     return _ceil_div((n - 3) * (n - 4), 6)
 
 
-def crosscap_complete_bipartite(m: int, n: int) -> int:
-    """Crosscap of K_{m,n} (m, n >= 2)."""
-    if m < 2 or n < 2:
-        raise GraphError(f"complete-bipartite crosscap formula needs m, n >= 2, got ({m}, {n})")
-    return _ceil_div((m - 2) * (n - 2), 2)
+def euler_lower_bounds(g: SimpleGraph) -> tuple[int, int, str]:
+    """Genus and crosscap lower bounds of a connected graph from Euler's
+    formula, with the evidence line that states them.
 
-
-def obstruction_lower_bounds(g: SimpleGraph):
-    """Scan the fixed obstruction menu and return (genus_lb, crosscap_lb,
-    evidence).  Bounds are 0 when no obstruction from the menu is present."""
-    genus_lb = 0
-    crosscap_lb = 0
-    evidence: list[str] = []
-    for r in OBSTRUCTION_COMPLETE:
-        if g.n < r:
-            continue
-        ok, witness = contains_complete(g, r)
-        if ok:
-            gb, cb = genus_complete(r), crosscap_complete(r)
-            genus_lb = max(genus_lb, gb)
-            crosscap_lb = max(crosscap_lb, cb)
-            evidence.append(
-                f"K{r} subgraph on vertices {list(witness)}: genus >= {gb}, crosscap >= {cb}"
-            )
-    for a, b in OBSTRUCTION_BIPARTITE:
-        if g.n < a + b:
-            continue
-        ok, witness = contains_complete_bipartite(g, a, b)
-        if ok:
-            gb, cb = genus_complete_bipartite(a, b), crosscap_complete_bipartite(a, b)
-            genus_lb = max(genus_lb, gb)
-            crosscap_lb = max(crosscap_lb, cb)
-            aa, bb = witness
-            evidence.append(
-                f"K_{{{a},{b}}} subgraph on parts {list(aa)} / {list(bb)}: "
-                f"genus >= {gb}, crosscap >= {cb}"
-            )
-    return genus_lb, crosscap_lb, evidence
+    Every face has length at least k = ``_face_min_length(g)``: with minimum
+    degree >= 2 every face walk contains a cycle, so k is the girth.  Hence
+    F <= floor(2m/k) and chi = n - m + F <= n - m + floor(2m/k), and a
+    minimum-genus or minimum-crosscap embedding is cellular, so genus >=
+    ceil((2 - chi)/2) and crosscap >= 2 - chi (Mohar-Thomassen 2001).
+    """
+    n, m = g.n, g.edge_count
+    if m == 0:
+        return 0, 0, "Euler: no edges: genus >= 0, crosscap >= 0"
+    k = _face_min_length(g)
+    chi = n - m + 2 * m // k
+    genus_lb = max(0, _ceil_div(2 - chi, 2))
+    crosscap_lb = max(0, 2 - chi)
+    return genus_lb, crosscap_lb, (
+        f"Euler: faces of length >= {k} give chi <= {chi}: "
+        f"genus >= {genus_lb}, crosscap >= {crosscap_lb}"
+    )
 
 
 def is_outerplanar(g: SimpleGraph):
@@ -476,11 +445,12 @@ def is_outerplanar(g: SimpleGraph):
 def is_planar(g: SimpleGraph):
     """True iff the graph has no K5 and no K_{3,3} subdivision.
 
-    Graphs with more than 3n - 6 edges are rejected by the edge bound before
+    Graphs whose Euler bound already gives genus >= 1 are rejected before
     any search.
     """
-    if g.n >= 3 and g.edge_count > 3 * g.n - 6:
-        return False, {"edge_bound": f"{g.edge_count} edges > 3n-6 = {3 * g.n - 6}"}
+    genus_lb, _, euler_line = euler_lower_bounds(g)
+    if genus_lb >= 1:
+        return False, {"euler": euler_line}
     ok5, w5 = contains_subdivision(g, "K5")
     if ok5:
         return False, {"target": "K5", **w5}
@@ -616,10 +586,11 @@ def classify_surface(
 ) -> SurfaceVerdict:
     """Full surface classification of the reduced complement of a group.
 
-    Combines exact forbidden-subdivision tests, formula lower bounds from the
-    obstruction menu, embedding certificates found by search, and the two
-    pinned literature constants.  For cyclic groups the reduced graph is
-    empty and the verdict is vacuous.
+    Combines exact forbidden-subdivision tests, the Euler lower bounds
+    (raised to 1 for a non-planar graph, and replaced by the exact values
+    when the graph is complete), embedding certificates found by search, and
+    the two pinned literature constants.  For cyclic groups the reduced graph
+    is empty and the verdict is vacuous.
     """
     if cache_dir is None:
         cache_dir = os.environ.get("EPGC_CERT_DIR") or None
@@ -699,11 +670,9 @@ def classify_surface(
         evidence.append(
             f"not planar: K3,3 subdivision on branch vertices {list(w33['branch_vertices'])}"
         )
-    genus_lower, crosscap_lower = 1, 1
-    scan_g, scan_c, scan_ev = obstruction_lower_bounds(reduced)
-    genus_lower = max(genus_lower, scan_g)
-    crosscap_lower = max(crosscap_lower, scan_c)
-    evidence.extend(scan_ev)
+    euler_genus, euler_crosscap, euler_line = euler_lower_bounds(reduced)
+    genus_lower, crosscap_lower = max(1, euler_genus), max(1, euler_crosscap)
+    evidence.append(euler_line)
 
     genus_upper: int | None = None
     crosscap_upper: int | None = None

@@ -71,6 +71,12 @@ class TestClassify:
         assert data["outerplanar"] is True
         assert data["genus_upper"] == 0
 
+    def test_a4_euler_lower_bounds(self, capsys):
+        assert main(["classify", "--group", "A4", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["genus_lower"], data["crosscap_lower"]) == (4, 8)
+        assert (data["genus_upper"], data["crosscap_upper"]) == (None, None)
+
 
 class TestVerify:
     def test_all_claims_exit_zero(self, capsys):
@@ -89,6 +95,12 @@ class TestVerify:
         assert main(["verify", "--claim", "no-two-maximal"]) == 0
         out = capsys.readouterr().out
         assert "1 reports: 1 ok, 0 failed" in out
+
+    def test_budget_limited_exits_zero(self, capsys):
+        assert main(["verify", "--budget", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "[PARTIAL] surface-classification" in out
+        assert "8 reports: 8 ok, 0 failed" in out
 
     def test_unknown_claim_usage_error(self, capsys):
         assert main(["verify", "--claim", "bogus"]) == 2

@@ -15,8 +15,6 @@ from epgc.groups import group_from_name
 from epgc.subgraphs import (
     chromatic_number,
     clique_number,
-    contains_complete,
-    contains_complete_bipartite,
     contains_subdivision,
 )
 from oracles import chromatic_number_brute, clique_number_brute, planar_by_minors
@@ -61,21 +59,10 @@ class TestClique:
         with pytest.raises(GraphError):
             clique_number(SimpleGraph(65))
 
-
-class TestContainsComplete:
     def test_z2_cubed_reduced_is_k7(self):
         bundle = build_bundle(group_from_name("Z2xZ2xZ2"))
-        ok, witness = contains_complete(bundle.reduced, 7)
-        assert ok and len(witness) == 7
-
-    def test_triangle_free(self):
-        assert contains_complete(complete_bipartite(3, 3), 3) == (False, None)
-
-    def test_r1_any_vertex(self):
-        assert contains_complete(cycle_graph(4), 1)[0]
-
-    def test_r_larger_than_n(self):
-        assert contains_complete(complete_graph(3), 4) == (False, None)
+        size, witness = clique_number(bundle.reduced)
+        assert size == bundle.reduced.n == 7 and len(witness) == 7
 
 
 class TestChromatic:
@@ -124,29 +111,6 @@ class TestChromatic:
         g = complete_graph(4)
         chi, _ = chromatic_number(g, hint=[0, 0, 0, 0])
         assert chi == 4
-
-
-class TestCompleteBipartite:
-    def test_direct(self):
-        ok, (a, b) = contains_complete_bipartite(complete_bipartite(4, 5), 4, 5)
-        assert ok and len(a) == 4 and len(b) == 5
-
-    def test_d12_reduced_contains_k56(self):
-        bundle = build_bundle(group_from_name("D12"))
-        ok, witness = contains_complete_bipartite(bundle.reduced, 5, 6)
-        assert ok
-
-    def test_k7_has_no_k44(self):
-        # 4 + 4 vertices cannot be disjoint inside 7
-        assert contains_complete_bipartite(complete_graph(7), 4, 4) == (False, None)
-
-    def test_swapped_sides(self):
-        ok, (a, b) = contains_complete_bipartite(complete_bipartite(2, 6), 6, 2)
-        assert ok and len(a) == 6 and len(b) == 2
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(GraphError):
-            contains_complete_bipartite(complete_graph(3), 0, 2)
 
 
 class TestSubdivision:

@@ -11,7 +11,13 @@ from epgc.graphs import (
     complete_graph,
     cycle_graph,
 )
-from epgc.groups import format_cayley_table, group_from_name, make_cyclic, parse_cayley_table
+from epgc.groups import (
+    catalog,
+    format_cayley_table,
+    group_from_name,
+    make_cyclic,
+    parse_cayley_table,
+)
 from epgc.topology import (
     EmbeddingError,
     RotationSystem,
@@ -19,13 +25,11 @@ from epgc.topology import (
     classify_surface,
     complete_multipartite_parts,
     crosscap_complete,
-    crosscap_complete_bipartite,
+    euler_lower_bounds,
     face_walks,
     genus_complete,
-    genus_complete_bipartite,
     is_outerplanar,
     is_planar,
-    obstruction_lower_bounds,
     rotation_from_text,
     rotation_to_text,
     search_embedding,
@@ -195,10 +199,7 @@ class TestFormulas:
     def test_paper_values(self):
         assert genus_complete(7) == 1
         assert crosscap_complete(7) == 3  # exceptional case
-        assert genus_complete_bipartite(4, 5) == 2
-        assert crosscap_complete_bipartite(4, 5) == 3
         assert genus_complete(5) == 1
-        assert genus_complete_bipartite(3, 3) == 1
 
     def test_classical_values(self):
         assert genus_complete(3) == 0
@@ -207,32 +208,26 @@ class TestFormulas:
         assert crosscap_complete(5) == 1
         assert crosscap_complete(6) == 1
         assert crosscap_complete(8) == 4
-        assert crosscap_complete_bipartite(3, 3) == 1
-        assert genus_complete_bipartite(4, 4) == 1
-        assert crosscap_complete_bipartite(5, 6) == 6
-        assert genus_complete_bipartite(5, 6) == 3
 
     def test_formulas_match_certificates_where_derivable(self):
-        # genus-1 formula values confirmed by searched certificates
+        # genus-1 lower bounds confirmed by searched certificates
         for graph, expect in [
             (complete_graph(5), genus_complete(5)),
             (complete_graph(6), genus_complete(6)),
             (complete_graph(7), genus_complete(7)),
-            (complete_bipartite(3, 3), genus_complete_bipartite(3, 3)),
-            (complete_bipartite(4, 4), genus_complete_bipartite(4, 4)),
+            (complete_bipartite(3, 3), euler_lower_bounds(complete_bipartite(3, 3))[0]),
+            (complete_bipartite(4, 4), euler_lower_bounds(complete_bipartite(4, 4))[0]),
         ]:
             assert expect == 1
             cert = search_embedding(graph, 1)
             assert verify_embedding(cert) == ("orientable", 1)
             assert search_embedding(graph, 0) is None
-        # K_{4,5} has genus 2, beyond certificate range: classical value only
-        assert genus_complete_bipartite(4, 5) == 2
 
     def test_range_errors(self):
         with pytest.raises(GraphError):
             genus_complete(2)
         with pytest.raises(GraphError):
-            crosscap_complete_bipartite(1, 5)
+            crosscap_complete(2)
 
 
 class TestOuterplanarPlanar:
@@ -265,6 +260,18 @@ class TestOuterplanarPlanar:
 
         assert contains_subdivision(bundle.reduced, "K33")[0]
 
+    def test_euler_bound_rejects_before_search(self, monkeypatch):
+        import epgc.topology as topology
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the Euler bound should decide")
+
+        monkeypatch.setattr(topology, "contains_subdivision", no_search)
+        for g, k in ((complete_graph(6), 3), (complete_bipartite(3, 3), 4)):
+            ok, witness = is_planar(g)
+            assert not ok
+            assert witness["euler"].startswith(f"Euler: faces of length >= {k} ")
+
     def test_d8_reduced_contains_k5_on_claimed_vertices(self):
         bundle = build_bundle(group_from_name("D8"))
         labels = list(bundle.reduced.tags)
@@ -283,21 +290,97 @@ class TestOuterplanarPlanar:
                 assert bundle.reduced.has_edge(u, v)
 
 
-class TestObstructionScan:
-    def test_planar_graph_no_bounds(self):
-        assert obstruction_lower_bounds(complete_graph(4))[:2] == (0, 0)
+# Lower bounds the obstruction menu (K5, K7, K8 and six K_{a,b} subgraphs with
+# their closed-form genus and crosscap) gave, floored at 1, before the Euler
+# bound replaced it: every non-planar non-cyclic group of catalog(32).
+MENU_BOUNDS = {
+    **{
+        name: (3, 6)
+        for name in (
+            "D16", "D18", "D20", "D22", "D24", "D26", "D28", "D30", "D32",
+            "Q16", "Q20", "Q24", "Q28", "Q32", "S4",
+            "Z2xZ10", "Z2xZ12", "Z2xZ14", "Z2xZ16", "Z2xZ8",
+            "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2xZ2", "Z2xZ2xZ2xZ4", "Z2xZ2xZ4",
+            "Z2xZ2xZ6", "Z2xZ2xZ8", "Z2xZ4xZ4", "Z3xZ3xZ3", "Z3xZ6", "Z3xZ9",
+            "Z4xZ4", "Z4xZ8", "Z5xZ5",
+            "A4", "D12", "D14",
+        )
+    },
+    "D10": (2, 3),
+    "Q12": (2, 4),
+    "Z3xZ3": (1, 2),
+    "Z2xZ2xZ2": (1, 3),
+    "D8": (1, 1),
+    "Z2xZ4": (1, 1),
+    "Z2xZ6": (1, 1),
+}
 
-    def test_d12_reduced_k56(self):
-        bundle = build_bundle(group_from_name("D12"))
-        genus_lb, crosscap_lb, evidence = obstruction_lower_bounds(bundle.reduced)
-        assert genus_lb >= 3 and crosscap_lb >= 6
-        assert any("K_{5,6}" in e for e in evidence)
+
+class TestEulerBound:
+    def test_planar_graph_no_bounds(self):
+        assert euler_lower_bounds(complete_graph(4))[:2] == (0, 0)
+        assert euler_lower_bounds(SimpleGraph(1))[:2] == (0, 0)
+
+    @pytest.mark.parametrize("target,orientable", [(0, True), (1, True), (1, False)])
+    def test_never_exceeds_the_oracle_surface(self, small_graphs, target, orientable):
+        tight = 0
+        for g in small_graphs:
+            if not embeds_exactly(g, target, orientable):
+                continue
+            genus_lb, crosscap_lb, _ = euler_lower_bounds(g)
+            bound = genus_lb if orientable else crosscap_lb
+            assert bound <= target, g.edges()
+            if target == 0:
+                assert crosscap_lb == 0, g.edges()
+            tight += bound == target
+        assert tight
+
+    def test_complete_graphs(self):
+        for r in range(3, 13):
+            genus_lb, crosscap_lb, _ = euler_lower_bounds(complete_graph(r))
+            assert genus_lb == genus_complete(r)
+            if r != 7:
+                assert crosscap_lb == crosscap_complete(r)
+        # K7 is the one complete graph whose crosscap Euler undershoots
+        assert euler_lower_bounds(complete_graph(7))[1] == 2 < crosscap_complete(7)
+
+    def test_classical_bipartite_values(self):
+        assert euler_lower_bounds(complete_bipartite(3, 3))[:2] == (1, 1)
+        assert euler_lower_bounds(complete_bipartite(4, 4))[0] == 1
+        assert euler_lower_bounds(complete_bipartite(4, 5))[:2] == (2, 3)
+        assert euler_lower_bounds(complete_bipartite(5, 6))[:2] == (3, 6)
+
+    def test_evidence_names_face_length_and_chi(self):
+        bundle = build_bundle(group_from_name("A4"))
+        assert euler_lower_bounds(bundle.reduced) == (
+            4,
+            8,
+            "Euler: faces of length >= 3 give chi <= -6: genus >= 4, crosscap >= 8",
+        )
 
     def test_z2_cubed_reduced_k7(self):
         bundle = build_bundle(group_from_name("Z2xZ2xZ2"))
-        genus_lb, crosscap_lb, evidence = obstruction_lower_bounds(bundle.reduced)
-        assert genus_lb == 1 and crosscap_lb == 3
-        assert any("K7" in e for e in evidence)
+        assert euler_lower_bounds(bundle.reduced)[:2] == (1, 2)
+        v = classify_surface(bundle)
+        assert (v.genus_lower, v.crosscap_lower) == (1, 3)
+        assert any("reduced graph is K7" in e for e in v.evidence)
+
+    def test_never_weaker_than_the_obstruction_menu(self):
+        seen = set()
+        for group in catalog(32):
+            if group.name not in MENU_BOUNDS:
+                continue
+            seen.add(group.name)
+            bundle = build_bundle(group)
+            if group.name == "Z2xZ2xZ2":
+                v = classify_surface(bundle)
+                bounds = (v.genus_lower, v.crosscap_lower)
+            else:
+                genus_lb, crosscap_lb, _ = euler_lower_bounds(bundle.reduced)
+                bounds = (max(1, genus_lb), max(1, crosscap_lb))
+            menu = MENU_BOUNDS[group.name]
+            assert bounds[0] >= menu[0] and bounds[1] >= menu[1], group.name
+        assert seen == set(MENU_BOUNDS)
 
 
 class TestClassifySurface:
@@ -338,6 +421,12 @@ class TestClassifySurface:
         assert (v.crosscap_lower, v.crosscap_upper) == (3, 3)
         assert not v.pinned  # complete-graph formula, not a pinned constant
         assert "genus1" in v.certificates
+
+    def test_d12_bounds_reach_k56_values(self):
+        # D12's reduced graph contains K_{5,6}: genus 3, crosscap 6
+        v = classify_surface(build_bundle(group_from_name("D12")))
+        assert v.genus_lower >= 3 and v.crosscap_lower >= 6
+        assert sum(e.startswith("Euler:") for e in v.evidence) == 1
 
     def test_cyclic_vacuous(self):
         v = classify_surface(build_bundle(make_cyclic(9)))

@@ -190,6 +190,28 @@ class TestIndividualClaims:
         failing = {e["group"] for e in report.per_group if e["status"] == FAIL}
         assert failing == {"Q8"}
 
+    def test_budget_limited_surface_is_partial(self):
+        reports = run_all(budget=1)
+        statuses = {r.claim_id: r.status for r in reports}
+        assert statuses.pop("surface-classification") == PARTIAL
+        assert set(statuses.values()) == {PASS}
+        surface = by_id(reports, "surface-classification")
+        open_entries = {e["group"] for e in surface.per_group if e["status"] == PARTIAL}
+        # every group whose classification runs a certificate search: the
+        # planar ones stop at the genus-0 search, the others at genus 1 or
+        # crosscap 1
+        assert open_entries == {
+            "Z2xZ2", "S3", "Q8", "D8", "Z2xZ4", "Z3xZ3", "Z2xZ6", "Z2xZ2xZ2"
+        }
+
+    def test_budget_limited_fail_injection(self):
+        fixtures = copy.deepcopy(load_fixtures())
+        fixtures["surface_classification"]["planar"] = ["Z2xZ2", "S3"]
+        report = verify_surface_classification(fixtures=fixtures, budget=1)
+        assert report.status == FAIL
+        failing = {e["group"] for e in report.per_group if e["status"] == FAIL}
+        assert failing == {"Q8"}
+
 
 class TestRendering:
     def test_render_contains_status(self, reports):
