@@ -170,6 +170,54 @@ def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
     return comps
 
 
+def blocks(g: SimpleGraph) -> list[tuple[int, ...]]:
+    """Vertex sets of the blocks (maximal subgraphs without a cut vertex),
+    sorted; a bridge is a 2-vertex block and an isolated vertex a 1-vertex
+    one.
+
+    Iterative Hopcroft-Tarjan: a depth-first search stacks the vertices it
+    discovers, and when a child v of u has no back edge from its subtree
+    above u (low[v] >= disc[u]), the stack down to v plus u is one block.
+    """
+    disc = [0] * g.n  # discovery time, 0 = not yet discovered
+    low = [0] * g.n
+    clock = 0
+    out = []
+    for root in range(g.n):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        if not g.adjacency_row(root):
+            out.append((root,))
+            continue
+        found = [root]
+        stack = [(root, -1, _bits(g.adjacency_row(root)))]
+        while stack:
+            v, parent, rest = stack[-1]
+            for w in rest:
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    found.append(w)
+                    stack.append((w, v, _bits(g.adjacency_row(w))))
+                    break
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    i = found.index(v)
+                    out.append(tuple(sorted(found[i:] + [u])))
+                    del found[i:]
+    return sorted(out)
+
+
 def girth(g: SimpleGraph):
     """Length of a shortest cycle; INFINITY for acyclic graphs.
 

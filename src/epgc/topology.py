@@ -1,7 +1,10 @@
 """Surface embeddings: exact outerplanarity/planarity, genus and crosscap
-lower bounds from Euler's formula with faces at least as long as the girth
-(exact closed forms for complete graphs), and rotation-system certificates for
-upper bounds.
+lower bounds from Euler's formula with faces at least as long as the girth,
+summed over the blocks of the graph (genus adds over blocks, Battle, Harary,
+Kodama and Youngs 1962; so does Euler genus, Stahl and Beineke 1977), exact
+closed forms for complete graphs, and rotation-system certificates for upper
+bounds.  The embedding search answers a target below the block bound without
+searching.
 
 A rotation system lists the neighbors of each vertex in cyclic order; an
 optional edge signing (+1 flat, -1 twisted) turns it into a certificate for an
@@ -30,8 +33,10 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     INFINITY,
+    blocks,
     connected_components,
     girth,
+    induced_subgraph,
     complement as graph_complement,
     to_adjacency_text,
 )
@@ -195,12 +200,19 @@ def face_walks(cert: RotationSystem) -> list[list[tuple[int, int]]]:
 
 
 def _face_min_length(g: SimpleGraph) -> int:
-    if g.n == 0 or g.edge_count == 0:
-        return 1
-    if min(g.degree(v) for v in range(g.n)) < 2:
-        return 2
+    """Least face length over all embeddings of a connected graph.
+
+    A face of length 2 turns back at both ends of its edge, so only K2 has
+    one.  A face walk without a cycle runs along a tree T on both sides of
+    each of its edges, so the rotation at every vertex of T stays in T and
+    the graph is T; every face of a graph with a cycle therefore contains one
+    and is at least as long as the girth.
+    """
+    m = g.edge_count
+    if m <= 1:
+        return m + 1
     gi = girth(g)
-    return 3 if gi == INFINITY else max(3, int(gi))
+    return 3 if gi == INFINITY else int(gi)
 
 
 def search_embedding(
@@ -214,9 +226,10 @@ def search_embedding(
     Orientable searches look for a system with exactly the face count of
     genus ``target_genus``; non-orientable searches additionally branch on
     edge signs (spanning-tree edges normalized to +1) and require a twisted
-    signature.  Returns a verified certificate, or None when the search space
-    is exhausted; raises :class:`SearchBudgetExceeded` when the node budget
-    runs out first.  None is treated as inconclusive by callers, not as a
+    signature.  Returns a verified certificate, or None when the target is
+    below :func:`euler_lower_bounds` (no search runs) or the search space is
+    exhausted; raises :class:`SearchBudgetExceeded` when the node budget runs
+    out first.  None is treated as inconclusive by callers, not as a
     lower bound.
     """
     if g.n > SEARCH_MAX_VERTICES:
@@ -229,6 +242,9 @@ def search_embedding(
         raise GraphError("embedding search needs a nonempty graph")
     if len(connected_components(g)) != 1:
         raise GraphError("embedding search needs a connected graph")
+    genus_lb, crosscap_lb, _ = euler_lower_bounds(g)
+    if target_genus < (genus_lb if orientable else crosscap_lb):
+        return None
     m = g.edge_count
     if m == 0:
         if target_genus == 0 and orientable:
@@ -410,25 +426,31 @@ def crosscap_complete(n: int) -> int:
 
 def euler_lower_bounds(g: SimpleGraph) -> tuple[int, int, str]:
     """Genus and crosscap lower bounds of a connected graph from Euler's
-    formula, with the evidence line that states them.
+    formula, summed over its blocks, with the evidence line that states them.
 
-    Every face has length at least k = ``_face_min_length(g)``: with minimum
-    degree >= 2 every face walk contains a cycle, so k is the girth.  Hence
-    F <= floor(2m/k) and chi = n - m + F <= n - m + floor(2m/k), and a
-    minimum-genus or minimum-crosscap embedding is cellular, so genus >=
-    ceil((2 - chi)/2) and crosscap >= 2 - chi (Mohar-Thomassen 2001).
+    Every face of a block B has length at least k = ``_face_min_length(B)``,
+    its girth, or 2 for a bridge.  Hence F <= floor(2m/k) and chi_B = n - m +
+    F <= n - m + floor(2m/k), and a minimum-genus or minimum-crosscap
+    embedding is cellular, so genus(B) >= ceil((2 - chi_B)/2) and the Euler
+    genus of B is at least 2 - chi_B (Mohar-Thomassen 2001).  Genus adds
+    over blocks (Battle-Harary-Kodama-Youngs 1962) and so does Euler genus
+    (Stahl-Beineke 1977), which never exceeds the crosscap; so the sums of
+    the per-block bounds bound the graph.
     """
-    n, m = g.n, g.edge_count
-    if m == 0:
+    if g.edge_count == 0:
         return 0, 0, "Euler: no edges: genus >= 0, crosscap >= 0"
-    k = _face_min_length(g)
-    chi = n - m + 2 * m // k
-    genus_lb = max(0, _ceil_div(2 - chi, 2))
-    crosscap_lb = max(0, 2 - chi)
-    return genus_lb, crosscap_lb, (
-        f"Euler: faces of length >= {k} give chi <= {chi}: "
-        f"genus >= {genus_lb}, crosscap >= {crosscap_lb}"
-    )
+    genus_lb = crosscap_lb = 0
+    parts = [induced_subgraph(g, b) for b in blocks(g) if len(b) > 1]
+    for b in parts:
+        k = _face_min_length(b)
+        chi = b.n - b.edge_count + 2 * b.edge_count // k
+        genus_lb += max(0, _ceil_div(2 - chi, 2))
+        crosscap_lb += max(0, 2 - chi)
+    if len(parts) == 1:
+        line = f"Euler: faces of length >= {k} give chi <= {chi}"
+    else:
+        line = f"Euler over {len(parts)} blocks"
+    return genus_lb, crosscap_lb, f"{line}: genus >= {genus_lb}, crosscap >= {crosscap_lb}"
 
 
 def is_outerplanar(g: SimpleGraph):

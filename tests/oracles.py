@@ -92,6 +92,21 @@ def _connected_mask(g: SimpleGraph, mask: int) -> bool:
     return comp == mask
 
 
+def joined_avoiding(g: SimpleGraph, w: int, a: int, b: int) -> bool:
+    """True when some path joins a and b in g - w: edges wa and wb then lie
+    on a common cycle, hence in one block."""
+    allowed = ((1 << g.n) - 1) & ~(1 << w)
+    comp = frontier = 1 << a
+    while frontier:
+        reach = 0
+        for v in range(g.n):
+            if frontier >> v & 1:
+                reach |= g.adjacency_row(v)
+        frontier = reach & allowed & ~comp
+        comp |= frontier
+    return bool(comp >> b & 1)
+
+
 def _neighborhood(g: SimpleGraph, mask: int) -> int:
     out = 0
     m = mask

@@ -8,6 +8,7 @@ from epgc.graphs import (
     GraphError,
     INFINITY,
     SimpleGraph,
+    blocks,
     complement,
     complete_bipartite,
     complete_graph,
@@ -23,7 +24,7 @@ from epgc.graphs import (
     to_dot,
 )
 from epgc.groups import generator_set, group_from_name
-from oracles import graphs_isomorphic_brute
+from oracles import _connected_mask, graphs_isomorphic_brute, joined_avoiding
 
 
 def random_graphs(max_n=12):
@@ -120,6 +121,66 @@ class TestComponents:
         sizes = sorted(len(c) for c in comps)
         assert sizes == [1, 7]
         assert bundle.isolated == {0}
+
+
+def seeded_graphs(count, max_n, seed):
+    """Random graphs on 0..max_n vertices: dense, sparse and edgeless ones,
+    and forests (some of them trees) with isolated vertices."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(0, max_n)
+        if i % 4 == 0:
+            # forest: attach each vertex to an earlier one, or leave it alone
+            p_attach = rng.choice((0.5, 0.8, 1.0))
+            edges = [
+                (rng.randrange(v), v) for v in range(1, n) if rng.random() < p_attach
+            ]
+        else:
+            p = rng.choice((0.0, 0.15, 0.3, 0.5, 0.8))
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+        yield SimpleGraph(n, edges=edges)
+
+
+class TestBlocks:
+    def test_known_blocks(self):
+        # K4 on 0-3 and a triangle 3-4-5 at cut vertex 3, a bridge 5-6 and
+        # an isolated vertex 7
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        edges += [(3, 4), (4, 5), (3, 5), (5, 6)]
+        star = SimpleGraph(4, edges=[(0, 1), (1, 2), (1, 3)])
+        for g, expected in (
+            (SimpleGraph(8, edges=edges), [(0, 1, 2, 3), (3, 4, 5), (5, 6), (7,)]),
+            (SimpleGraph(0), []),
+            (SimpleGraph(1), [(0,)]),
+            (SimpleGraph(2, edges=[(0, 1)]), [(0, 1)]),
+            (star, [(0, 1), (1, 2), (1, 3)]),
+            (cycle_graph(6), [tuple(range(6))]),
+        ):
+            assert blocks(g) == expected
+
+    def test_against_cut_vertex_oracle(self):
+        # two edges at w share a block iff their other ends stay joined in
+        # G - w; blocks partition the edges, each block is connected, and
+        # the 1-vertex blocks are the isolated vertices
+        for g in seeded_graphs(3000, 10, seed=3):
+            found = blocks(g)
+            assert found == sorted(found) and all(list(b) == sorted(b) for b in found)
+            assert [b for b in found if len(b) == 1] == [
+                (v,) for v in range(g.n) if g.degree(v) == 0
+            ], g.edges()
+            for b in found:
+                if len(b) > 1:
+                    assert _connected_mask(g, sum(1 << v for v in b)), g.edges()
+            for u, v in g.edges():
+                assert sum(u in b and v in b for b in found) == 1, g.edges()
+            for w in range(g.n):
+                nbrs = g.neighbors(w)
+                for i, a in enumerate(nbrs):
+                    for b in nbrs[i + 1:]:
+                        shared = any(w in s and a in s and b in s for s in found)
+                        assert shared == joined_avoiding(g, w, a, b), (g.edges(), w, a, b)
 
 
 class TestGirth:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import epgc.topology as topology
 from epgc.cli import main
 from epgc.epg import build_bundle
 from epgc.graphs import (
@@ -37,6 +38,33 @@ from epgc.topology import (
     verify_embedding,
 )
 from oracles import connected_graphs, embeds_exactly, map_surface
+
+
+def glued(*parts):
+    """Graphs on vertices 0..k, glued at their vertex 0."""
+    edges, top = [], 0
+    for part in parts:
+        relabel = {v: v + top if v else 0 for e in part for v in e}
+        edges += [(relabel[u], relabel[v]) for u, v in part]
+        top = max(relabel.values())
+    return SimpleGraph(top + 1, edges=edges)
+
+
+K5_EDGES = complete_graph(5).edges()
+K33_EDGES = complete_bipartite(3, 3).edges()
+TWO_K5 = glued(K5_EDGES, K5_EDGES)
+TWO_K33 = glued(K33_EDGES, K33_EDGES)
+K33_K5 = glued(K33_EDGES, K5_EDGES)
+K6_PENDANT = SimpleGraph(7, edges=complete_graph(6).edges() + [(5, 6)])
+
+
+def raw_search(g, target, orientable):
+    """The search kernel alone, without the bound search_embedding checks
+    first."""
+    faces = g.edge_count - g.n + 2 - (2 * target if orientable else target)
+    return topology._search(
+        g, faces, topology._face_min_length(g), 10**8, signed=not orientable
+    )
 
 
 class TestRotationSystem:
@@ -163,15 +191,11 @@ class TestSearchEmbedding:
 
     def test_exhaustive_refutation_of_genus_one(self):
         # two K5 blocks glued at a vertex have genus 2 (genus is additive
-        # over blocks), yet the Euler count alone would admit genus 1, so
-        # this exercises true search exhaustion
-        import itertools
-
-        edges = []
-        for block in ([0, 1, 2, 3, 4], [0, 5, 6, 7, 8]):
-            edges += list(itertools.combinations(block, 2))
-        g = SimpleGraph(9, edges=edges)
-        assert search_embedding(g, 1, budget=10**8) is None
+        # over blocks): the block-summed Euler bound refutes genus 1, while
+        # the Euler count of the whole graph would admit it, so the raw
+        # kernel still has to exhaust its search space
+        assert search_embedding(TWO_K5, 1, budget=10**8) is None
+        assert raw_search(TWO_K5, 1, orientable=True) is None
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +217,44 @@ class TestSearchAgainstOracle:
             if cert is not None and g.edge_count:
                 twisted = {e for e, s in cert.edge_signs or () if s < 0}
                 assert map_surface(g, cert.rotations, twisted) == (kind, target), g.edges()
+
+
+class TestBlockBoundSoundness:
+    """search_embedding returns None exactly when the search kernel alone
+    exhausts its space, and the same certificate otherwise: the
+    block-summed Euler bound only removes search work."""
+
+    @staticmethod
+    def agree(g, target, orientable):
+        cert = search_embedding(g, target, orientable=orientable)
+        raw = raw_search(g, target, orientable)
+        assert (cert is None) == (raw is None), g.edges()
+        if cert is not None:
+            assert cert.rotations == raw[0], g.edges()
+
+    @pytest.mark.parametrize("target,orientable", [(0, True), (1, True), (1, False)])
+    def test_small_graphs(self, small_graphs, target, orientable):
+        for g in small_graphs:
+            if g.edge_count:
+                self.agree(g, target, orientable)
+
+    @pytest.mark.parametrize(
+        "g,target,orientable",
+        [
+            (TWO_K5, 0, True),
+            (TWO_K33, 0, True),
+            (TWO_K33, 1, True),
+            (TWO_K33, 1, False),
+            (K33_K5, 0, True),
+            (K33_K5, 1, True),
+        ],
+        ids=["k5.k5-g0", "k33.k33-g0", "k33.k33-g1", "k33.k33-c1", "k33.k5-g0", "k33.k5-g1"],
+    )
+    def test_separable_graphs(self, g, target, orientable):
+        # two K5s at genus 1 are checked by
+        # test_exhaustive_refutation_of_genus_one; crosscap 1 on the graphs
+        # with a K5 block is left out, as the kernel alone runs for minutes
+        self.agree(g, target, orientable)
 
 
 class TestFormulas:
@@ -271,6 +333,11 @@ class TestOuterplanarPlanar:
             ok, witness = is_planar(g)
             assert not ok
             assert witness["euler"].startswith(f"Euler: faces of length >= {k} ")
+        # 16 edges on 7 vertices: the pendant edge is its own block, and the
+        # K6 block alone gives genus >= 1
+        ok, witness = is_planar(K6_PENDANT)
+        assert not ok
+        assert witness["euler"] == "Euler over 2 blocks: genus >= 1, crosscap >= 1"
 
     def test_d8_reduced_contains_k5_on_claimed_vertices(self):
         bundle = build_bundle(group_from_name("D8"))
@@ -349,6 +416,16 @@ class TestEulerBound:
         assert euler_lower_bounds(complete_bipartite(4, 4))[0] == 1
         assert euler_lower_bounds(complete_bipartite(4, 5))[:2] == (2, 3)
         assert euler_lower_bounds(complete_bipartite(5, 6))[:2] == (3, 6)
+
+    def test_block_sums(self):
+        for g in (TWO_K5, TWO_K33, K33_K5):
+            assert euler_lower_bounds(g) == (
+                2, 2, "Euler over 2 blocks: genus >= 2, crosscap >= 2"
+            )
+        tree = SimpleGraph(5, edges=[(0, 1), (1, 2), (1, 3), (3, 4)])
+        assert euler_lower_bounds(tree)[:2] == (0, 0)
+        assert euler_lower_bounds(K6_PENDANT)[:2] == euler_lower_bounds(complete_graph(6))[:2]
+        assert euler_lower_bounds(complete_graph(6))[:2] == (genus_complete(6), crosscap_complete(6))
 
     def test_evidence_names_face_length_and_chi(self):
         bundle = build_bundle(group_from_name("A4"))
