@@ -35,6 +35,16 @@ from .subgraphs import chromatic_number, clique_number
 from .topology import DEFAULT_BUDGET, classify_surface, verdict_to_dict
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epgc",
@@ -67,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="surface classification of one group")
     p_cls.add_argument("--group", required=True)
     p_cls.add_argument("--format", choices=("text", "json"), default="text")
-    p_cls.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_cls.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p_cls.add_argument("--cache-dir", default=None, help="certificate cache directory")
 
     p_ver = sub.add_parser("verify", help="run the theorem harness")
@@ -75,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--all", action="store_true", help="run every claim (default)")
     p_ver.add_argument("--claim", default=None, help="run a single claim id")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_ver.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p_ver.add_argument("--verbose", action="store_true", help="list every per-group entry")
     p_ver.add_argument("--cache-dir", default=None)
 
@@ -258,7 +268,7 @@ _DISPATCH = {
 def run(args: argparse.Namespace) -> int:
     try:
         return _DISPATCH[args.command](args)
-    except (GroupError, FileNotFoundError, ValueError) as exc:
+    except (GroupError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,9 +13,12 @@ follows (directed edge, side) states, an unsigned system counting as one with
 every edge flat, and the Euler relation V - E + F = 2 - 2*genus (orientable)
 or 2 - crosscap (non-orientable) on the traced face count yields the surface.
 One backtracking search over the same states finds both kinds of
-certificate.  Certificates can be cached as text files keyed by a digest of
-the graph's adjacency text, so one graph always maps to one entry whatever the
-group is called.
+certificate.  Its state is flat: a (dart, side) state u -> v on side o is the
+int ``(u*n + v)*2 + o`` and the used states are a bytearray with a live count;
+rotation links are per-vertex lists of neighbour ids, -1 while unset; edge
+signs are one list indexed by an edge-id matrix, -1 while unset.  Certificates
+can be cached as text files keyed by a digest of the graph's adjacency text,
+so one graph always maps to one entry whatever the group is called.
 
 Two non-orientable facts are pinned as published constants rather than
 recomputed: the crosscap of K_{2,2,2,2} is 3 (Jungerman 1979) and the crosscap
@@ -242,6 +245,8 @@ def search_embedding(
         raise GraphError("embedding search needs a nonempty graph")
     if len(connected_components(g)) != 1:
         raise GraphError("embedding search needs a connected graph")
+    if budget < 1:
+        raise GraphError(f"embedding search budget must be at least 1, got {budget}")
     genus_lb, crosscap_lb, _ = euler_lower_bounds(g)
     if target_genus < (genus_lb if orientable else crosscap_lb):
         return None
@@ -279,126 +284,178 @@ def _search(g: SimpleGraph, faces_target: int, face_min: int, budget: int, signe
     so each face is two orbits, and needs a twisted edge at the end.  Returns
     ``(rotations, edge_signs)``, with ``edge_signs`` None when unsigned, or
     None when the search space is exhausted.
+
+    The state is flat.  State ``(u, v, o)`` has id ``(u*n + v)*2 + o``, and
+    ``used`` is a bytearray over the ids with ``used_count`` its live sum.
+    ``succ[v][x]`` and ``pred[v][x]`` are the rotation links at v, -1 while
+    unset.  ``eid[u][v]`` numbers the edges and ``tw[e]`` is 1 for a twisted
+    edge, 0 for a flat one and -1 while unset.  The links set at v form
+    disjoint paths; ``ends[v][x]`` is the other end of the path with end x,
+    so a link that closes the rotation at v is seen in O(1), and it is
+    allowed only when it is the ``deg[v]``-th link (``nlinks[v]``).
+    Branches are tried in a fixed order: start states in ``_trace`` order,
+    flat before twisted, neighbours in ``g.neighbors`` order.  Each sign or
+    link fixed counts one node against ``budget``, also when the walk it
+    extends cannot fit and so is not entered.
     """
     n = g.n
     nbrs = [g.neighbors(v) for v in range(n)]
     deg = [len(x) for x in nbrs]
-    succ: list[dict[int, int]] = [dict() for _ in range(n)]
-    pred: list[dict[int, int]] = [dict() for _ in range(n)]
+    # single[x] is (x,), built once so that no step allocates a tuple
+    single = [(x,) for x in range(n)]
+    eid = [[-1] * n for _ in range(n)]
+    for e, (u, v) in enumerate(g.edges()):
+        eid[u][v] = eid[v][u] = e
+    succ = [[-1] * n for _ in range(n)]
+    pred = [[-1] * n for _ in range(n)]
     # links[v][f]: the links side f follows at v, and their inverse
     links = [((succ[v], pred[v]), (pred[v], succ[v])) for v in range(n)]
-    # twist[u][v] = twist[v][u]: 1 for a twisted edge, 0 for a flat one
-    twist: list[dict[int, int]] = [dict() for _ in range(n)]
+    ends = [list(range(n)) for _ in range(n)]
+    nlinks = [0] * n
     if signed:
-        seen = {0}
+        tw = [-1] * g.edge_count
+        seen = [False] * n
+        seen[0] = True
         stack = [0]
         while stack:
             u = stack.pop()
             for w in nbrs[u]:
-                if w not in seen:
-                    seen.add(w)
-                    twist[u][w] = twist[w][u] = 0
+                if not seen[w]:
+                    seen[w] = True
+                    tw[eid[u][w]] = 0
                     stack.append(w)
         walks_target = 2 * faces_target
     else:
-        for u in range(n):
-            twist[u] = dict.fromkeys(nbrs[u], 0)
+        tw = [0] * g.edge_count
         walks_target = faces_target
-    all_states = [
-        (u, v, o) for u in range(n) for v in nbrs[u] for o in ((0, 1) if signed else (0,))
-    ]
+    sides = (0, 1) if signed else (0,)
+    all_states = [(u * n + v) * 2 + o for u in range(n) for v in nbrs[u] for o in sides]
+    # order[s]: position of state s in all_states
+    order = [0] * (2 * n * n)
+    for i, s in enumerate(all_states):
+        order[s] = i
     total_states = len(all_states)
-    used: set[tuple[int, int, int]] = set()
+    used = bytearray(2 * n * n)
+    used_count = 0
     nodes = 0
 
-    def start_face(faces_closed):
-        if len(used) == total_states:
+    def fits(used_now, walk_len, faces_closed):
+        # whether an open walk of walk_len states, with used_now states
+        # used, can still end among walks_target walks of >= face_min states
+        d_rem = total_states - used_now
+        need = face_min - walk_len
+        if need < 0:
+            need = 0
+        return d_rem >= need and faces_closed + 1 + (d_rem - need) // face_min >= walks_target
+
+    def start_face(faces_closed, i):
+        # every state before all_states[i] is used, so the scan starts there
+        nonlocal used_count
+        if used_count == total_states:
             # a signed certificate must have a non-orientable signature
-            return faces_closed == walks_target and (
-                not signed or any(1 in t.values() for t in twist)
-            )
+            return faces_closed == walks_target and (not signed or 1 in tw)
         if faces_closed >= walks_target:
             return False
-        for s0 in all_states:
-            if s0 not in used:
-                used.add(s0)
-                ok = advance(s0, s0[0], s0[1], s0[2], 1, faces_closed)
-                if not ok:
-                    used.discard(s0)
-                return ok
+        while used[all_states[i]]:
+            i += 1
+        if not fits(used_count + 1, 1, faces_closed):
+            return False
+        s0 = all_states[i]
+        used[s0] = 1
+        used_count += 1
+        u, v = divmod(s0 >> 1, n)
+        if advance(s0, u, v, s0 & 1, 1, faces_closed):
+            return True
+        used[s0] = 0
+        used_count -= 1
         return False
 
     def advance(start, u, v, o, walk_len, faces_closed):
-        nonlocal nodes
-        d_rem = total_states - len(used)
-        need = max(0, face_min - walk_len)
-        if d_rem < need or faces_closed + 1 + (d_rem - need) // face_min < walks_target:
-            return False
-        known = twist[v].get(u)
-        for t in (0, 1) if known is None else (known,):
-            if known is None:
+        # the walk has just entered state (u, v, o), and fits() holds
+        nonlocal nodes, used_count
+        # every branch leads to a walk one state longer; when that walk
+        # cannot fit, branches are still counted as nodes but not entered
+        deeper = fits(used_count + 1, walk_len + 1, faces_closed)
+        e = eid[v][u]
+        known = tw[e]
+        links_v = links[v]
+        ends_v = ends[v]
+        base = v * n
+        for t in (0, 1) if known < 0 else single[known]:
+            if known < 0:
                 nodes += 1
                 if nodes > budget:
                     raise SearchBudgetExceeded(nodes)
-                twist[u][v] = twist[v][u] = t
+                tw[e] = t
             f = o ^ t
-            fwd, back = links[v][f]
-            w_known = fwd.get(u)
-            for w in nbrs[v] if w_known is None else (w_known,):
-                if w_known is None:
-                    if w in back:
+            fwd, back = links_v[f]
+            w_known = fwd[u]
+            for w in nbrs[v] if w_known < 0 else single[w_known]:
+                if w_known < 0:
+                    if back[w] >= 0:
                         continue
-                    # refuse a link that closes the rotation at v too early
-                    if w == u:
-                        if deg[v] != 1:
-                            continue
-                    else:
-                        size, cur = 2, w
-                        while cur in fwd:
-                            cur = fwd[cur]
-                            if cur == u:
-                                break
-                            size += 1
-                        if cur == u and size != deg[v]:
-                            continue
+                    # u ends one path and w starts one; linking them closes
+                    # the rotation, allowed only once it holds every neighbour
+                    a = ends_v[u]
+                    b = ends_v[w]
+                    if a == w and nlinks[v] != deg[v] - 1:
+                        continue
                     nodes += 1
                     if nodes > budget:
                         raise SearchBudgetExceeded(nodes)
+                nxt = (base + w) * 2 + f
+                if nxt == start:
+                    if walk_len < face_min:
+                        continue
+                elif not deeper or used[nxt]:
+                    continue
+                if w_known < 0:
                     fwd[u] = w
                     back[w] = u
-                nxt = (v, w, f)
+                    nlinks[v] += 1
+                    ends_v[a] = b
+                    ends_v[b] = a
                 if nxt == start:
-                    if walk_len >= face_min and start_face(faces_closed + 1):
+                    if start_face(faces_closed + 1, order[start]):
                         return True
-                elif nxt not in used:
-                    used.add(nxt)
+                else:
+                    used[nxt] = 1
+                    used_count += 1
                     if advance(start, v, w, f, walk_len + 1, faces_closed):
                         return True
-                    used.discard(nxt)
-                if w_known is None:
-                    del fwd[u], back[w]
-        if known is None:
-            del twist[u][v], twist[v][u]
+                    used[nxt] = 0
+                    used_count -= 1
+                if w_known < 0:
+                    fwd[u] = back[w] = -1
+                    nlinks[v] -= 1
+                    ends_v[a] = u
+                    ends_v[u] = a
+                    ends_v[b] = w
+                    ends_v[w] = b
+        if known < 0:
+            tw[e] = -1
         return False
 
-    if not start_face(0):
+    if not start_face(0, 0):
         return None
     rotations = tuple(_rotation_from_links(nbrs[v], succ[v], v) for v in range(n))
     if not signed:
         return rotations, None
-    return rotations, tuple(((u, v), -1 if twist[u][v] else 1) for u, v in g.edges())
+    return rotations, tuple(((u, v), -1 if tw[eid[u][v]] else 1) for u, v in g.edges())
 
 
 def _rotation_from_links(neighbors, links, v):
+    """The rotation at v read from ``links[x]``, the successor of neighbour x
+    (-1 when unset), starting at the first neighbour."""
     if not neighbors:
         return ()
     start = neighbors[0]
     out = [start]
     cur = links[start]
-    while cur != start:
+    while cur != start and cur >= 0 and len(out) < len(neighbors):
         out.append(cur)
         cur = links[cur]
-    if len(out) != len(neighbors):
+    if cur != start or len(out) != len(neighbors):
         raise EmbeddingError(f"rotation at vertex {v} did not close into one cycle")
     return tuple(out)
 

@@ -77,6 +77,24 @@ class TestClassify:
         assert (data["genus_lower"], data["crosscap_lower"]) == (4, 8)
         assert (data["genus_upper"], data["crosscap_upper"]) == (None, None)
 
+    def test_cache_dir_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "not-a-dir"
+        path.write_text("", encoding="utf-8")
+        assert main(["classify", "--group", "Z2xZ4", "--cache-dir", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("budget", ["0", "-5", "many"])
+def test_budget_must_be_positive(command, budget, capsys):
+    argv = [command, "--budget", budget] + (["--group", "Z2xZ4"] if command == "classify" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--budget" in err and budget in err
+
 
 class TestVerify:
     def test_all_claims_exit_zero(self, capsys):
@@ -141,6 +159,11 @@ class TestIngest:
 
     def test_missing_file(self, capsys):
         assert main(["ingest", "--file", "/nonexistent/x.txt"]) == 2
+
+    def test_directory_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["ingest", "--file", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "z6.txt"

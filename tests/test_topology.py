@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -56,6 +57,15 @@ TWO_K5 = glued(K5_EDGES, K5_EDGES)
 TWO_K33 = glued(K33_EDGES, K33_EDGES)
 K33_K5 = glued(K33_EDGES, K5_EDGES)
 K6_PENDANT = SimpleGraph(7, edges=complete_graph(6).edges() + [(5, 6)])
+K1222 = SimpleGraph(
+    7,
+    edges=[
+        (u, v)
+        for a, b in itertools.combinations(((0,), (1, 2), (3, 4), (5, 6)), 2)
+        for u in a
+        for v in b
+    ],
+)
 
 
 def raw_search(g, target, orientable):
@@ -196,6 +206,51 @@ class TestSearchEmbedding:
         # kernel still has to exhaust its search space
         assert search_embedding(TWO_K5, 1, budget=10**8) is None
         assert raw_search(TWO_K5, 1, orientable=True) is None
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_budget_rejected(self, budget):
+        with pytest.raises(GraphError, match=str(budget)):
+            search_embedding(complete_graph(5), 1, budget=budget)
+
+
+def reduced(name):
+    return build_bundle(group_from_name(name)).reduced
+
+
+class TestBranchingOrder:
+    """Known answers that pin the search's branching order: the least node
+    budget that lets each search finish.  Any change to the start-state
+    order, the sign order or the neighbour order moves these counts."""
+
+    @pytest.mark.parametrize(
+        "graph,target,orientable,nodes,found",
+        [
+            (K1222, 1, False, 25786, False),
+            (reduced("Z2xZ4"), 1, False, 69118, True),
+            (reduced("D8"), 1, True, 633, True),
+            (reduced("D8"), 1, False, 1406, True),
+        ],
+        ids=["k1222-c1", "z2xz4-c1", "d8-g1", "d8-c1"],
+    )
+    def test_least_completing_budget(self, graph, target, orientable, nodes, found):
+        cert = search_embedding(graph, target, orientable=orientable, budget=nodes)
+        assert (cert is not None) == found
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search_embedding(graph, target, orientable=orientable, budget=nodes - 1)
+        assert exc.value.nodes == nodes
+
+    def test_z2xz4_crosscap_one_certificate(self):
+        cert = search_embedding(reduced("Z2xZ4"), 1, orientable=False)
+        assert rotation_to_text(cert) == (
+            "0: 3 6 4 5\n"
+            "1: 3 5\n"
+            "2: 3 4 5 6\n"
+            "3: 0 1 5 6 4 2\n"
+            "4: 0 3 2 5\n"
+            "5: 0 4 2 6 3 1\n"
+            "6: 0 2 5 3\n"
+            "signs: 2-4 2-5 3-4 3-6 5-6\n"
+        )
 
 
 @pytest.fixture(scope="module")
