@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--group", required=True)
     p_cls.add_argument("--format", choices=("text", "json"), default="text")
     p_cls.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    p_cls.add_argument("--cache-dir", default=None, help="certificate cache directory")
 
     p_ver = sub.add_parser("verify", help="run the theorem harness")
     p_ver.add_argument("--max-order", type=int, default=15)
@@ -87,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p_ver.add_argument("--verbose", action="store_true", help="list every per-group entry")
-    p_ver.add_argument("--cache-dir", default=None)
 
     p_ing = sub.add_parser("ingest", help="validate a Cayley table file")
     p_ing.add_argument("--file", required=True)
@@ -97,8 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    groups = catalog(args.max_order)
     print(f"{'name':<12} {'order':>5} {'|M(G)|':>6}  sizes")
-    for g in catalog(args.max_order):
+    for g in groups:
         fam = maximal_cyclic_subgroups(g)
         sizes = ",".join(str(s) for s in fam.sizes)
         print(f"{g.name:<12} {g.order:>5} {fam.count:>6}  [{sizes}]")
@@ -189,7 +188,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     bundle = build_bundle(group_from_name(args.group))
-    verdict = classify_surface(bundle, budget=args.budget, cache_dir=args.cache_dir)
+    verdict = classify_surface(bundle, budget=args.budget)
     if args.format == "json":
         print(json.dumps(verdict_to_dict(verdict), indent=2, sort_keys=True))
         return 0
@@ -210,7 +209,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         reports = verify_mod.run_all(
             max_order=args.max_order,
             budget=args.budget,
-            cache_dir=args.cache_dir,
             claims=claims,
         )
     except KeyError as exc:

@@ -1,9 +1,12 @@
-"""Finite groups as validated Cayley tables, plus their cyclic-subgroup structure.
+"""Finite groups as Cayley tables, plus their cyclic-subgroup structure.
 
 Groups are plain multiplication tables over 0-based element indices with the
 identity pinned at index 0.  Constructors cover the families needed for the
 small-group catalog (cyclic, dihedral, dicyclic, symmetric, alternating and
-direct products); everything else is ingested through :func:`validate_table`.
+direct products) and build groups by construction, so they check nothing at
+run time; a test runs every table they build through :func:`validate_table`.
+Everything else is ingested through :func:`validate_table`, the one check of
+the group axioms on outside tables.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ class GroupTable:
     """A finite group given by its full multiplication table.
 
     ``table[i][j]`` is the index of the product of elements ``i`` and ``j``;
-    index 0 is always the identity.  Instances are immutable and validated on
-    construction (closure, identity, Latin square, associativity, inverses).
+    index 0 is always the identity.  Instances are immutable.  Construction
+    checks only that the table and labels match the order; the group axioms
+    are checked once, by :func:`validate_table`, on tables from outside.
     """
 
     order: int
@@ -32,10 +36,10 @@ class GroupTable:
     name: str
 
     def __post_init__(self) -> None:
-        _check_group_axioms(self.order, self.table)
-        if len(self.labels) != self.order:
+        if not len(self.table) == len(self.labels) == self.order:
             raise GroupError(
-                f"expected {self.order} labels, got {len(self.labels)}"
+                f"order {self.order} needs {self.order} rows and labels,"
+                f" got {len(self.table)} rows and {len(self.labels)} labels"
             )
 
     def mul(self, a: int, b: int) -> int:
@@ -46,7 +50,7 @@ class GroupTable:
         for b in range(self.order):
             if row[b] == 0:
                 return b
-        raise GroupError(f"element {a} has no inverse")  # unreachable once validated
+        raise GroupError(f"element {a} has no inverse")  # unreachable: every row is Latin
 
     def elements(self) -> range:
         return range(self.order)
@@ -73,53 +77,6 @@ class MaximalCyclicFamily:
     @property
     def count(self) -> int:
         return len(self.subgroups)
-
-
-def _check_group_axioms(n: int, table: tuple[tuple[int, ...], ...]) -> None:
-    if n < 1:
-        raise GroupError(f"group order must be positive, got {n}")
-    if len(table) != n:
-        raise GroupError(f"table has {len(table)} rows, expected {n}")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise GroupError(f"row {i} has {len(row)} entries, expected {n}")
-        for j, v in enumerate(row):
-            if not (0 <= v < n):
-                raise GroupError(f"entry at row {i}, column {j} is {v}, outside [0, {n})")
-    for j in range(n):
-        if table[0][j] != j:
-            raise GroupError(f"index 0 is not a left identity: table[0][{j}] = {table[0][j]}")
-    for i in range(n):
-        if table[i][0] != i:
-            raise GroupError(f"index 0 is not a right identity: table[{i}][0] = {table[i][0]}")
-    for i in range(n):
-        seen = [False] * n
-        for j in range(n):
-            v = table[i][j]
-            if seen[v]:
-                raise GroupError(f"row {i} repeats value {v} (second hit at column {j})")
-            seen[v] = True
-    for j in range(n):
-        seen = [False] * n
-        for i in range(n):
-            v = table[i][j]
-            if seen[v]:
-                raise GroupError(f"column {j} repeats value {v} (second hit at row {i})")
-            seen[v] = True
-    for i in range(n):
-        for j in range(n):
-            ij = table[i][j]
-            row_j = table[j]
-            row_i = table[i]
-            for k in range(n):
-                if table[ij][k] != row_i[row_j[k]]:
-                    raise GroupError(
-                        f"associativity fails at triple ({i}, {j}, {k}): "
-                        f"({i}*{j})*{k} = {table[ij][k]} but {i}*({j}*{k}) = {row_i[row_j[k]]}"
-                    )
-    for i in range(n):
-        if 0 not in table[i]:
-            raise GroupError(f"element {i} has no inverse")
 
 
 def make_cyclic(n: int) -> GroupTable:
@@ -297,10 +254,12 @@ def validate_table(
 ) -> GroupTable:
     """Build a :class:`GroupTable` from a raw square array.
 
-    Relocates the identity to index 0 by relabeling when necessary.  Raises
-    :class:`GroupError` naming the first offending entry for non-square input,
-    out-of-range entries, missing identity, Latin-square violations and
-    associativity violations.
+    This is the one check of the group axioms.  Relocates the identity to
+    index 0 by relabeling when necessary.  Raises :class:`GroupError` naming
+    the first offending entry for non-square input, out-of-range entries,
+    missing identity, Latin-square violations and associativity violations,
+    checked in that order.  Inverses need no check: a Latin row is a
+    permutation, so it holds the identity.
     """
     rows = [list(r) for r in raw]
     n = len(rows)
@@ -335,7 +294,31 @@ def validate_table(
             for old_i in old_order
         ]
         labels = [labels[old] for old in old_order]
-    return GroupTable(n, tuple(tuple(r) for r in rows), tuple(labels), name)
+    table = tuple(tuple(r) for r in rows)
+    for i, row in enumerate(table):
+        seen = [False] * n
+        for j, v in enumerate(row):
+            if seen[v]:
+                raise GroupError(f"row {i} repeats value {v} (second hit at column {j})")
+            seen[v] = True
+    for j in range(n):
+        seen = [False] * n
+        for i in range(n):
+            v = table[i][j]
+            if seen[v]:
+                raise GroupError(f"column {j} repeats value {v} (second hit at row {i})")
+            seen[v] = True
+    for i, row_i in enumerate(table):
+        for j, ij in enumerate(row_i):
+            # row ij of the table against i*(j*k) for every k
+            right = tuple([row_i[jk] for jk in table[j]])
+            if table[ij] != right:
+                k = next(k for k in range(n) if table[ij][k] != right[k])
+                raise GroupError(
+                    f"associativity fails at triple ({i}, {j}, {k}): "
+                    f"({i}*{j})*{k} = {table[ij][k]} but {i}*({j}*{k}) = {right[k]}"
+                )
+    return GroupTable(n, table, tuple(labels), name)
 
 
 def element_order(g: GroupTable, x: int) -> int:
@@ -641,8 +624,6 @@ def parse_cayley_table(text: str, name: str = "ingested") -> GroupTable:
     rows = []
     for i in range(n):
         parts = lines[1 + i].split()
-        if len(parts) != n:
-            raise GroupError(f"row {i} has {len(parts)} entries, expected {n}")
         row = []
         for j, p in enumerate(parts):
             try:

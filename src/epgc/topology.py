@@ -16,9 +16,7 @@ One backtracking search over the same states finds both kinds of
 certificate.  Its state is flat: a (dart, side) state u -> v on side o is the
 int ``(u*n + v)*2 + o`` and the used states are a bytearray with a live count;
 rotation links are per-vertex lists of neighbour ids, -1 while unset; edge
-signs are one list indexed by an edge-id matrix, -1 while unset.  Certificates
-can be cached as text files keyed by a digest of the graph's adjacency text,
-so one graph always maps to one entry whatever the group is called.
+signs are one list indexed by an edge-id matrix, -1 while unset.
 
 Two non-orientable facts are pinned as published constants rather than
 recomputed: the crosscap of K_{2,2,2,2} is 3 (Jungerman 1979) and the crosscap
@@ -27,8 +25,6 @@ of K_{3,3,3} is 3 (Ellingham, Stephens and Zha 2006, Theorem 10).
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 from .epg import EpgBundle
@@ -41,7 +37,6 @@ from .graphs import (
     girth,
     induced_subgraph,
     complement as graph_complement,
-    to_adjacency_text,
 )
 from .subgraphs import contains_subdivision, _is_clique
 
@@ -618,50 +613,9 @@ def rotation_from_text(text: str, graph: SimpleGraph) -> RotationSystem:
     return RotationSystem(graph, rot, signed)
 
 
-def _cached_search(
-    g: SimpleGraph,
-    target: int,
-    orientable: bool,
-    budget: int,
-    cache_dir: str | None,
-):
-    path = None
-    if cache_dir:
-        # imported here: hashlib maps OpenSSL, about 3.5 MB resident, which
-        # runs without a cache never need
-        import hashlib
-
-        kind = "genus" if orientable else "crosscap"
-        digest = hashlib.sha256(to_adjacency_text(g).encode("utf-8")).hexdigest()[:16]
-        path = os.path.join(cache_dir, f"{digest}_{kind}{target}.cert")
-        if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    cert = rotation_from_text(fh.read(), g)
-                kind_found, value = verify_embedding(cert)
-                if value == target and (kind_found == "orientable") == orientable:
-                    return cert
-            except (EmbeddingError, ValueError):
-                pass
-    cert = search_embedding(g, target, orientable=orientable, budget=budget)
-    if cert is not None and path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        # write aside and rename, so a reader never sees a partial entry
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(rotation_to_text(cert))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return cert
-
-
 def classify_surface(
     bundle: EpgBundle,
     budget: int = DEFAULT_BUDGET,
-    cache_dir: str | None = None,
 ) -> SurfaceVerdict:
     """Full surface classification of the reduced complement of a group.
 
@@ -671,8 +625,6 @@ def classify_surface(
     the two pinned literature constants.  For cyclic groups the reduced graph
     is empty and the verdict is vacuous.
     """
-    if cache_dir is None:
-        cache_dir = os.environ.get("EPGC_CERT_DIR") or None
     name = bundle.group.name
     reduced = bundle.reduced
     if reduced.n == 0:
@@ -707,7 +659,7 @@ def classify_surface(
     if planar:
         evidence.append("planar: no K5 or K3,3 subdivision (exhaustive search)")
         try:
-            cert0 = _cached_search(reduced, 0, True, budget, cache_dir)
+            cert0 = search_embedding(reduced, 0, orientable=True, budget=budget)
         except SearchBudgetExceeded:
             evidence.append("genus-0 certificate search: budget exhausted (inconclusive)")
             return SurfaceVerdict(
@@ -776,7 +728,7 @@ def classify_surface(
 
     if genus_lower == 1 and (genus_upper is None or genus_upper == 1) and reduced.n <= SEARCH_MAX_VERTICES:
         try:
-            cert1 = _cached_search(reduced, 1, True, budget, cache_dir)
+            cert1 = search_embedding(reduced, 1, orientable=True, budget=budget)
         except SearchBudgetExceeded:
             cert1 = None
             budget_limited = True
@@ -793,7 +745,7 @@ def classify_surface(
 
     if crosscap_upper is None and crosscap_lower == 1 and reduced.n <= SEARCH_MAX_VERTICES:
         try:
-            certn = _cached_search(reduced, 1, False, budget, cache_dir)
+            certn = search_embedding(reduced, 1, orientable=False, budget=budget)
         except SearchBudgetExceeded:
             certn = None
             budget_limited = True

@@ -374,7 +374,6 @@ def verify_surface_classification(
     groups: tuple[GroupTable, ...] | None = None,
     fixtures: dict | None = None,
     budget: int = DEFAULT_BUDGET,
-    cache_dir: str | None = None,
 ) -> TheoremReport:
     """Outerplanar / planar / projective / toroidal classification of the
     reduced complement, with certificate-backed upper bounds and the
@@ -398,7 +397,7 @@ def verify_surface_classification(
         if b.is_cyclic_group:
             entries.append(_entry(name, "empty reduced graph", None, status=VACUOUS))
             continue
-        v = classify_surface(b, budget=budget, cache_dir=cache_dir)
+        v = classify_surface(b, budget=budget)
         in_toroidal = name in expected_sets["toroidal"]
         in_projective = name in expected_sets["projective"]
         classified = name in expected_sets["planar"] or in_toroidal
@@ -471,7 +470,6 @@ def run_all(
     max_order: int = 15,
     fixtures: dict | None = None,
     budget: int = DEFAULT_BUDGET,
-    cache_dir: str | None = None,
     claims: tuple[str, ...] | None = None,
 ) -> list[TheoremReport]:
     """Run every theorem check and return the reports in a fixed order."""
@@ -489,7 +487,7 @@ def run_all(
         "eulerian": lambda: verify_eulerian(groups, fixtures),
         "cyclomatic-classification": lambda: verify_c_cyclic(groups, fixtures),
         "surface-classification": lambda: verify_surface_classification(
-            groups, fixtures, budget=budget, cache_dir=cache_dir
+            groups, fixtures, budget=budget
         ),
     }
     selected = claims if claims is not None else ALL_CLAIMS

@@ -77,12 +77,11 @@ class TestClassify:
         assert (data["genus_lower"], data["crosscap_lower"]) == (4, 8)
         assert (data["genus_upper"], data["crosscap_upper"]) == (None, None)
 
-    def test_cache_dir_is_a_file(self, tmp_path, capsys):
-        path = tmp_path / "not-a-dir"
-        path.write_text("", encoding="utf-8")
-        assert main(["classify", "--group", "Z2xZ4", "--cache-dir", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(path) in err
+    def test_cache_dir_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--group", "D8", "--cache-dir", "x"])
+        assert exc.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["classify", "verify"])
@@ -140,6 +139,12 @@ class TestList:
         out = capsys.readouterr().out
         assert "Q12" in out and "A4" in out
         assert len([ln for ln in out.splitlines() if ln and not ln.startswith(("name", "note"))]) == 24
+
+    def test_bad_max_order_prints_nothing(self, capsys):
+        assert main(["list", "--max-order", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: catalog needs max_order >= 1, got -3\n"
 
 
 class TestIngest:

@@ -2,6 +2,7 @@ import pytest
 
 from epgc.groups import (
     GroupError,
+    GroupTable,
     are_isomorphic,
     catalog,
     covering_union,
@@ -159,6 +160,37 @@ class TestValidateTable:
         ]
         with pytest.raises(GroupError, match=r"associativity fails at triple"):
             validate_table(table)
+
+    def test_latin_checked_before_associativity(self):
+        # row 1 repeats 1, and (1*1)*2 = 0 differs from 1*(1*2) = 1
+        with pytest.raises(GroupError, match="repeats") as exc:
+            validate_table([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+        assert "associativity" not in str(exc.value)
+
+
+def library_groups():
+    """Every table the library builds: the catalog, the Eulerian family sweeps, S_n and A_n."""
+    yield from catalog(32)
+    yield from (make_dihedral(n) for n in range(3, 11))
+    yield from (make_dicyclic(n) for n in range(2, 11))
+    yield from (make_symmetric(n) for n in range(1, 6))
+    yield from (make_alternating(n) for n in range(1, 6))
+
+
+class TestLibraryTables:
+    """The constructors check nothing at run time; this is their proof."""
+
+    def test_every_library_table_is_a_group(self):
+        count = 0
+        for g in library_groups():
+            assert validate_table(g.table, g.labels, g.name).table == g.table, g.name
+            count += 1
+        assert count == len(catalog(32)) + 8 + 9 + 5 + 5
+
+    def test_construction_checks_the_shape(self):
+        table = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        with pytest.raises(GroupError, match="3 rows and 2 labels"):
+            GroupTable(3, table, ("a", "b"), "x")
 
 
 class TestElementStructure:

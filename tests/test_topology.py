@@ -15,10 +15,8 @@ from epgc.graphs import (
 )
 from epgc.groups import (
     catalog,
-    format_cayley_table,
     group_from_name,
     make_cyclic,
-    parse_cayley_table,
 )
 from epgc.topology import (
     EmbeddingError,
@@ -607,51 +605,6 @@ class TestCertificateIO:
         assert "signs:" in text
         back = rotation_from_text(text, complete_bipartite(3, 3))
         assert verify_embedding(back) == ("nonorientable", 1)
-
-    def test_cache_dir(self, tmp_path):
-        bundle = build_bundle(group_from_name("D8"))
-        v1 = classify_surface(bundle, cache_dir=str(tmp_path))
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert any("genus1" in f for f in files)
-        v2 = classify_surface(bundle, cache_dir=str(tmp_path))
-        assert verdict_to_dict(v1) == verdict_to_dict(v2)
-
-    def test_cache_dir_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EPGC_CERT_DIR", str(tmp_path))
-        bundle = build_bundle(group_from_name("Z2xZ4"))
-        classify_surface(bundle)
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert [n.split("_")[1] for n in names] == ["crosscap1.cert", "genus1.cert"]
-
-    def test_stale_cache_entry_is_researched(self, tmp_path):
-        bundle = build_bundle(group_from_name("D8"))
-        classify_surface(bundle, cache_dir=str(tmp_path))
-        for entry in tmp_path.iterdir():
-            entry.write_text("garbage\n", encoding="utf-8")
-        v = classify_surface(bundle, cache_dir=str(tmp_path))
-        assert v.toroidal and v.projective
-        assert all("garbage" not in p.read_text() for p in tmp_path.iterdir())
-
-    def test_cache_is_keyed_by_graph_not_name(self, tmp_path, monkeypatch):
-        import epgc.topology as topology
-
-        def ingested(name):
-            text = format_cayley_table(group_from_name(name))
-            return build_bundle(parse_cayley_table(text, name="ingested"))
-
-        first = [classify_surface(ingested(n), cache_dir=str(tmp_path)) for n in ("D8", "Z2xZ4")]
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert len(names) == 4
-        assert sum(n.endswith("_genus1.cert") for n in names) == 2
-        assert sum(n.endswith("_crosscap1.cert") for n in names) == 2
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("certificate should come from the cache")
-
-        monkeypatch.setattr(topology, "search_embedding", no_search)
-        again = classify_surface(ingested("D8"), cache_dir=str(tmp_path))
-        assert verdict_to_dict(again) == verdict_to_dict(first[0])
-        assert sorted(p.name for p in tmp_path.iterdir()) == names
 
     def test_multipartite_detection(self):
         assert complete_multipartite_parts(complete_graph(7)) == (1,) * 7
