@@ -204,16 +204,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    claims = None if args.claim is None else (args.claim,)
-    try:
-        reports = verify_mod.run_all(
-            max_order=args.max_order,
-            budget=args.budget,
-            claims=claims,
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+    if args.claim is not None and args.claim not in verify_mod.ALL_CLAIMS:
+        known = ", ".join(verify_mod.ALL_CLAIMS)
+        print(f"error: unknown claim id {args.claim!r}; known: {known}", file=sys.stderr)
         return 2
+    claims = None if args.claim is None else (args.claim,)
+    reports = verify_mod.run_all(
+        max_order=args.max_order,
+        budget=args.budget,
+        claims=claims,
+    )
     if args.format == "json":
         print(verify_mod.reports_to_json(reports))
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import itemgetter
 
 
 class GroupError(ValueError):
@@ -260,6 +261,18 @@ def validate_table(
     missing identity, Latin-square violations and associativity violations,
     checked in that order.  Inverses need no check: a Latin row is a
     permutation, so it holds the identity.
+
+    Associativity is Light's test (Clifford and Preston 1961, section 1.2):
+    (x*a)*y = x*(a*y) is checked for every x and y, but only for a in
+    :func:`_generating_sequence`, at most log2(n) elements of a group.  The
+    elements a for which it holds contain the identity and are closed under
+    products; the generating sequence reaches every element from the
+    identity by right products, so if it holds for the sequence it holds for
+    every element.  That needs only the identity, not associativity, so it
+    is sound on any Latin table with an identity.  A failure names a triple
+    (i, j, k) of the relocated table, with j a generator: the first
+    generator that fails, its first failing row i and that row's first
+    failing column k.
     """
     rows = [list(r) for r in raw]
     n = len(rows)
@@ -308,10 +321,12 @@ def validate_table(
             if seen[v]:
                 raise GroupError(f"column {j} repeats value {v} (second hit at row {i})")
             seen[v] = True
-    for i, row_i in enumerate(table):
-        for j, ij in enumerate(row_i):
-            # row ij of the table against i*(j*k) for every k
-            right = tuple([row_i[jk] for jk in table[j]])
+    for j in _generating_sequence(table):
+        through_j = itemgetter(*table[j])  # n >= 2 here, so it returns a tuple
+        for i, row_i in enumerate(table):
+            ij = row_i[j]
+            # row i*j of the table against i*(j*k) for every k
+            right = through_j(row_i)
             if table[ij] != right:
                 k = next(k for k in range(n) if table[ij][k] != right[k])
                 raise GroupError(
@@ -384,26 +399,29 @@ def covering_union(g: GroupTable, x: int, family: MaximalCyclicFamily | None = N
     return out
 
 
-def _generating_sequence(g: GroupTable) -> list[int]:
+def _generating_sequence(table) -> list[int]:
+    """Elements whose right multiples, from the identity at index 0, reach
+    every element of the table; each one lies outside the closure of those
+    before it, so a group of order n needs at most log2(n) of them."""
     gens: list[int] = []
     closure = {0}
-    for x in range(g.order):
+    for x in range(len(table)):
         if x not in closure:
             gens.append(x)
-            closure = _closure(g, gens)
-            if len(closure) == g.order:
+            closure = _closure(table, gens)
+            if len(closure) == len(table):
                 break
     return gens
 
 
-def _closure(g: GroupTable, gens: list[int]) -> set[int]:
+def _closure(table, gens: list[int]) -> set[int]:
     seen = {0}
     frontier = [0]
     while frontier:
         new = []
         for a in frontier:
             for s in gens:
-                b = g.table[a][s]
+                b = table[a][s]
                 if b not in seen:
                     seen.add(b)
                     new.append(b)
@@ -455,7 +473,7 @@ def are_isomorphic(g: GroupTable, h: GroupTable) -> bool:
     orders_h = [element_order(h, x) for x in range(h.order)]
     if sorted(orders_g) != sorted(orders_h):
         return False
-    gens = _generating_sequence(g)
+    gens = _generating_sequence(g.table)
     candidates = [
         [y for y in range(h.order) if orders_h[y] == orders_g[s]] for s in gens
     ]
@@ -607,10 +625,12 @@ def parse_cayley_table(text: str, name: str = "ingested") -> GroupTable:
     """Parse the plain-text Cayley table format.
 
     Layout: first line is n, then n lines of n whitespace-separated 0-based
-    indices, optionally followed by a line of n labels.  Rejection messages
+    indices, optionally followed by a line of n labels; blank lines are
+    skipped and anything after the labels is rejected.  Rejection messages
     cite the row/column of the first violation.
     """
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    numbered = [(no, ln) for no, ln in enumerate((s.strip() for s in text.splitlines()), 1) if ln]
+    lines = [ln for _, ln in numbered]
     if not lines:
         raise GroupError("empty input")
     try:
@@ -621,6 +641,9 @@ def parse_cayley_table(text: str, name: str = "ingested") -> GroupTable:
         raise GroupError(f"order must be positive, got {n}")
     if len(lines) < 1 + n:
         raise GroupError(f"expected {n} table rows, found {len(lines) - 1}")
+    if len(lines) > 2 + n:
+        no, ln = numbered[2 + n]
+        raise GroupError(f"unexpected line {no} after the label line: {ln!r}")
     rows = []
     for i in range(n):
         parts = lines[1 + i].split()

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own algorithms: totients by
 gcd counting, enhanced-power-graph adjacency by sweeping generators, planarity
 by minor search, isomorphism and cliques by raw enumeration, surface
 embeddings by enumerating every rotation system and counting faces on the
-flag graph of the map.
+flag graph of the map, girth by deleting one edge at a time, associativity
+by scanning every triple.
 """
 
 from __future__ import annotations
@@ -45,6 +46,37 @@ def graphs_isomorphic_brute(g: SimpleGraph, h: SimpleGraph) -> bool:
         ):
             return True
     return False
+
+
+def girth_brute(g: SimpleGraph) -> float:
+    """Shortest cycle through each edge (u, v): delete the edge and add one
+    to the BFS distance from u to v in what is left.  inf if no edge lies on
+    a cycle."""
+    best = float("inf")
+    for u, v in g.edges():
+        dist = {u: 0}
+        queue = [u]
+        for x in queue:
+            for y in g.neighbors(x):
+                if y not in dist and (x, y) not in ((u, v), (v, u)):
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if v in dist:
+            best = min(best, dist[v] + 1)
+            if best == 3:  # no simple graph has a shorter cycle
+                break
+    return best
+
+
+def is_associative_brute(table) -> bool:
+    """(i*j)*k == i*(j*k) for every triple of a square table."""
+    n = len(table)
+    return all(
+        table[table[i][j]][k] == table[i][table[j][k]]
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
 
 
 def clique_number_brute(g: SimpleGraph) -> int:

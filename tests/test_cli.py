@@ -122,6 +122,28 @@ class TestVerify:
     def test_unknown_claim_usage_error(self, capsys):
         assert main(["verify", "--claim", "bogus"]) == 2
 
+    def test_unknown_claim_is_checked_before_the_run(self, capsys, monkeypatch):
+        import epgc.verify as verify_mod
+
+        def must_not_run(**kwargs):
+            raise AssertionError("run_all called with an unknown claim id")
+
+        monkeypatch.setattr(verify_mod, "run_all", must_not_run)
+        assert main(["verify", "--claim", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown claim id 'bogus'; known: maximal-cyclic-table")
+
+    def test_key_error_inside_a_claim_is_not_a_usage_error(self, monkeypatch):
+        import epgc.verify as verify_mod
+
+        def broken(**kwargs):
+            raise KeyError("inside a claim")
+
+        monkeypatch.setattr(verify_mod, "run_all", broken)
+        with pytest.raises(KeyError, match="inside a claim"):
+            main(["verify", "--claim", "eulerian"])
+
     def test_failing_claim_exits_one(self, capsys, monkeypatch):
         import epgc.verify as verify_mod
 

@@ -23,8 +23,8 @@ from epgc.graphs import (
     to_adjacency_text,
     to_dot,
 )
-from epgc.groups import generator_set, group_from_name
-from oracles import _connected_mask, graphs_isomorphic_brute, joined_avoiding
+from epgc.groups import catalog, generator_set, group_from_name
+from oracles import _connected_mask, girth_brute, graphs_isomorphic_brute, joined_avoiding
 
 
 def random_graphs(max_n=12):
@@ -196,6 +196,38 @@ class TestGirth:
 
     def test_complete_bipartite(self):
         assert girth(complete_bipartite(3, 3)) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=10))
+    def test_agrees_with_edge_deletion_oracle(self, g):
+        assert girth(g) == girth_brute(g), g.edges()
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycles(self, n):
+        assert girth(cycle_graph(n)) == n == girth_brute(cycle_graph(n))
+
+    def test_petersen(self):
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(i, i + 5) for i in range(5)]
+        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        petersen = SimpleGraph(10, edges=edges)
+        assert girth(petersen) == 5 == girth_brute(petersen)
+
+    def test_k44(self):
+        assert girth(complete_bipartite(4, 4)) == 4 == girth_brute(complete_bipartite(4, 4))
+
+    def test_only_cycle_in_a_later_component(self):
+        # a path and a star first, then a 6-cycle with a pendant vertex
+        edges = [(0, 1), (1, 2), (3, 4), (3, 5), (3, 6)]
+        edges += [(7 + i, 7 + (i + 1) % 6) for i in range(6)] + [(7, 13)]
+        g = SimpleGraph(14, edges=edges)
+        assert girth(g) == 6 == girth_brute(g)
+
+    def test_catalog_graphs_against_oracle(self):
+        for group in catalog(32):
+            bundle = build_bundle(group)
+            for g in (bundle.complement, bundle.reduced):
+                assert girth(g) == girth_brute(g), group.name
 
 
 class TestBipartite:

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from epgc.groups import (
@@ -21,7 +24,7 @@ from epgc.groups import (
     parse_cayley_table,
     validate_table,
 )
-from oracles import totient_by_gcd
+from oracles import is_associative_brute, totient_by_gcd
 
 
 def label_index(g, label):
@@ -193,6 +196,124 @@ class TestLibraryTables:
             GroupTable(3, table, ("a", "b"), "x")
 
 
+TRIPLE = re.compile(
+    r"associativity fails at triple \((\d+), (\d+), (\d+)\): "
+    r"\(\1\*\2\)\*\3 = (\d+) but \1\*\(\2\*\3\) = (\d+)$"
+)
+
+
+def relabelled(table, perm):
+    """The table with element x renamed perm[x]."""
+    n = len(table)
+    inv = [0] * n
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return [[perm[table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+
+
+def relocated(table):
+    """The table with its identity moved to index 0, the others in order."""
+    n = len(table)
+    e = next(x for x in range(n) if all(table[x][j] == j for j in range(n)))
+    order = [e] + [x for x in range(n) if x != e]
+    pos = {old: new for new, old in enumerate(order)}
+    return [[pos[table[i][j]] for j in order] for i in order]
+
+
+def intercalate_corrupted(group, rng):
+    """A seeded relabelling of the group with one intercalate swapped.
+
+    Rows r, r*u and columns c, u*c, u an involution, hold a 2x2 Latin
+    subsquare; swapping it away from the identity row and column keeps a
+    Latin square with an identity, so only associativity can fail.
+    """
+    n = group.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    table = relabelled(group.table, perm)
+    e = perm[0]
+    u = rng.choice([x for x in range(n) if x != e and table[x][x] == e])
+    r = rng.choice([x for x in range(n) if x not in (e, u)])
+    c = rng.choice([x for x in range(n) if x not in (e, u)])
+    r2, c2 = table[r][u], table[u][c]
+    rows = [list(row) for row in table]
+    rows[r][c], rows[r][c2] = table[r][c2], table[r][c]
+    rows[r2][c], rows[r2][c2] = table[r2][c2], table[r2][c]
+    return rows
+
+
+def random_loop(n, rng):
+    """A seeded random Latin square with a two-sided identity (a loop),
+    filled cell by cell with backtracking, then relabelled at random."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        used = set(rows[i][:j]) | {rows[k][j] for k in range(i)}
+        values = [v for v in range(n) if v not in used]
+        rng.shuffle(values)
+        for v in values:
+            rows[i][j] = v
+            if fill(c + 1):
+                return True
+        rows[i][j] = None
+        return False
+
+    assert fill(0)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabelled(rows, perm)
+
+
+def checked_verdict(table):
+    """Whether validate_table accepts the table, after checking that the
+    triple scan agrees and that a rejection names a triple that fails in
+    the relocated table."""
+    try:
+        validate_table(table)
+    except GroupError as exc:
+        assert not is_associative_brute(table), exc
+        m = TRIPLE.match(str(exc))
+        assert m, exc
+        i, j, k, left, right = map(int, m.groups())
+        t = relocated(table)
+        assert t[t[i][j]][k] == left != right == t[i][t[j][k]], exc
+        return False
+    assert is_associative_brute(table)
+    return True
+
+
+class TestAssociativityOracle:
+    """Light's test (generators only) against the full triple scan."""
+
+    def test_library_tables(self):
+        for g in library_groups():
+            assert checked_verdict(g.table), g.name
+
+    def test_intercalate_corrupted_tables(self):
+        rng = random.Random(20230)
+        bases = [g for g in catalog(32) if g.order >= 6 and g.order % 2 == 0]
+        verdicts = [
+            checked_verdict(intercalate_corrupted(rng.choice(bases), rng))
+            for _ in range(300)
+        ]
+        assert verdicts.count(False) > 250
+
+    def test_random_loops(self):
+        rng = random.Random(8)
+        verdicts = [
+            checked_verdict(random_loop(n, rng))
+            for n in range(1, 9)
+            for _ in range(25)
+        ]
+        # every loop of order <= 4 is a group; most larger ones are not
+        assert all(verdicts[:100])
+        assert verdicts[100:].count(False) > 75
+
+
 class TestElementStructure:
     def test_identity_order_one(self):
         assert element_order(make_symmetric(4), 0) == 1
@@ -355,6 +476,14 @@ class TestCayleyTableIO:
     def test_row_width_cited(self):
         with pytest.raises(GroupError, match="row 0 has 2 entries"):
             parse_cayley_table("3\n0 1\n1 2 0\n2 0 1\n")
+
+    def test_trailing_line_rejected(self):
+        with pytest.raises(GroupError, match=r"line 5 .*'extra'"):
+            parse_cayley_table("2\n0 1\n1 0\na b\nextra\n")
+
+    def test_both_layouts_accepted(self):
+        assert parse_cayley_table("2\n0 1\n1 0\n").labels == ("g0", "g1")
+        assert parse_cayley_table("2\n0 1\n\n1 0\na b\n\n").labels == ("a", "b")
 
 
 class TestIsomorphism:
