@@ -7,6 +7,10 @@ direct products) and build groups by construction, so they check nothing at
 run time; a test runs every table they build through :func:`validate_table`.
 Everything else is ingested through :func:`validate_table`, the one check of
 the group axioms on outside tables.
+
+The catalog is built once per process: ``catalog(15)`` builds the 28 small
+groups, ``catalog(32)`` adds the extension to those same objects, and every
+other catalog is an order filter of one of the two.
 """
 
 from __future__ import annotations
@@ -53,9 +57,6 @@ class GroupTable:
                 return b
         raise GroupError(f"element {a} has no inverse")  # unreachable: every row is Latin
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
 
@@ -89,6 +90,23 @@ def make_cyclic(n: int) -> GroupTable:
     return GroupTable(n, table, labels, f"Z{n}")
 
 
+def _dihedral_type(m: int, s: int, labels: tuple[str, ...], name: str) -> GroupTable:
+    """The group of pairs (r, f), r mod m and f in {0, 1}, at index r + m*f,
+    with (r1, f1)(r2, f2) = (r1 + (-1)^f1 * r2 + f1*f2*s, f1 xor f2)."""
+    pairs = [(r, f) for f in (0, 1) for r in range(m)]
+    table = tuple(
+        tuple((r1 + (-r2 if f1 else r2) + f1 * f2 * s) % m + m * (f1 ^ f2) for r2, f2 in pairs)
+        for r1, f1 in pairs
+    )
+    return GroupTable(2 * m, table, labels, name)
+
+
+def _word_labels(x: str, y: str, m: int) -> tuple[str, ...]:
+    """e, x, x2, ..., y, xy, x2y, ... for 2m elements."""
+    powers = [x if i == 1 else f"{x}{i}" for i in range(1, m)]
+    return ("e", *powers, y, *(p + y for p in powers))
+
+
 def make_dihedral(n: int) -> GroupTable:
     """The dihedral group of order 2n (symmetries of the regular n-gon).
 
@@ -98,29 +116,7 @@ def make_dihedral(n: int) -> GroupTable:
     """
     if n < 2:
         raise GroupError(f"dihedral group needs n >= 2, got {n}")
-    size = 2 * n
-
-    def idx(rot: int, flip: int) -> int:
-        return rot % n + (n if flip else 0)
-
-    table = []
-    for i in range(size):
-        ri, fi = i % n, i >= n
-        row = []
-        for j in range(size):
-            rj, fj = j % n, j >= n
-            if not fi and not fj:
-                row.append(idx(ri + rj, 0))
-            elif not fi and fj:
-                row.append(idx(ri + rj, 1))
-            elif fi and not fj:
-                row.append(idx(ri - rj, 1))
-            else:
-                row.append(idx(ri - rj, 0))
-        table.append(tuple(row))
-    labels = ["e"] + [f"x{i}" if i > 1 else "x" for i in range(1, n)]
-    labels += ["y"] + [f"x{i}y" if i > 1 else "xy" for i in range(1, n)]
-    return GroupTable(size, tuple(table), tuple(labels), f"D{size}")
+    return _dihedral_type(n, 0, _word_labels("x", "y", n), f"D{2 * n}")
 
 
 _Q8_LABELS = ("1", "i", "-1", "-i", "j", "k", "-j", "-k")
@@ -135,34 +131,8 @@ def make_dicyclic(n: int) -> GroupTable:
     """
     if n < 2:
         raise GroupError(f"dicyclic group needs n >= 2, got {n}")
-    m = 2 * n
-    size = 4 * n
-
-    def idx(rot: int, flip: int) -> int:
-        return rot % m + (m if flip else 0)
-
-    table = []
-    for i in range(size):
-        ri, fi = i % m, i >= m
-        row = []
-        for j in range(size):
-            rj, fj = j % m, j >= m
-            if not fi and not fj:
-                row.append(idx(ri + rj, 0))
-            elif not fi and fj:
-                row.append(idx(ri + rj, 1))
-            elif fi and not fj:
-                row.append(idx(ri - rj, 1))
-            else:
-                row.append(idx(ri - rj + n, 0))
-        table.append(tuple(row))
-    if n == 2:
-        labels = _Q8_LABELS
-    else:
-        lab = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
-        lab += ["b"] + [f"a{i}b" if i > 1 else "ab" for i in range(1, m)]
-        labels = tuple(lab)
-    return GroupTable(size, tuple(table), tuple(labels), f"Q{size}")
+    labels = _Q8_LABELS if n == 2 else _word_labels("a", "b", 2 * n)
+    return _dihedral_type(2 * n, n, labels, f"Q{4 * n}")
 
 
 def _perm_label(p: tuple[int, ...]) -> str:
@@ -257,10 +227,11 @@ def validate_table(
 
     This is the one check of the group axioms.  Relocates the identity to
     index 0 by relabeling when necessary.  Raises :class:`GroupError` naming
-    the first offending entry for non-square input, out-of-range entries,
-    missing identity, Latin-square violations and associativity violations,
-    checked in that order.  Inverses need no check: a Latin row is a
-    permutation, so it holds the identity.
+    the first offending entry for non-square input, entries that are not
+    ``int`` (``bool`` included) or out of range, missing identity,
+    Latin-square violations and associativity violations, checked in that
+    order.  Inverses need no check: a Latin row is a permutation, so it
+    holds the identity.
 
     Associativity is Light's test (Clifford and Preston 1961, section 1.2):
     (x*a)*y = x*(a*y) is checked for every x and y, but only for a in
@@ -282,7 +253,9 @@ def validate_table(
         if len(row) != n:
             raise GroupError(f"table is not square: row {i} has {len(row)} entries, expected {n}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not (0 <= v < n):
+            if type(v) is not int:  # bool is an int subclass, and not an index
+                raise GroupError(f"entry at row {i}, column {j} is {v!r}, not an integer")
+            if not 0 <= v < n:
                 raise GroupError(f"entry at row {i}, column {j} is {v!r}, outside [0, {n})")
     identity = None
     for e in range(n):
@@ -434,12 +407,11 @@ def _extend_homomorphism(
     h: GroupTable,
     gens: list[int],
     images: list[int],
-    require_full: bool = False,
 ) -> list[int | None] | None:
     """Propagate generator images through products; None on conflict.
 
     The result maps the subgroup generated by ``gens``; entries outside it
-    stay None unless ``require_full`` rejects partial coverage.
+    stay None.
     """
     phi: list[int | None] = [None] * g.order
     phi[0] = 0
@@ -457,8 +429,6 @@ def _extend_homomorphism(
                 elif phi[b] != c:
                     return None
         frontier = new
-    if require_full and any(v is None for v in phi):
-        return None
     return phi
 
 
@@ -480,7 +450,8 @@ def are_isomorphic(g: GroupTable, h: GroupTable) -> bool:
 
     def search(i: int, images: list[int]) -> bool:
         if i == len(gens):
-            phi = _extend_homomorphism(g, h, gens, images, require_full=True)
+            # gens generate g, so phi maps every element
+            phi = _extend_homomorphism(g, h, gens, images)
             if phi is None or len(set(phi)) != g.order:
                 return False
             return all(
@@ -500,11 +471,10 @@ def are_isomorphic(g: GroupTable, h: GroupTable) -> bool:
 
 CATALOG_MAX_ORDER = 32
 
-_TABLE_RECIPES: tuple[tuple[str, ...], ...] = (
-    ("Z1",), ("Z2",), ("Z3",), ("Z4",), ("Z2xZ2",), ("Z5",), ("Z6",), ("S3",),
-    ("Z7",), ("Z8",), ("Z2xZ4",), ("Z2xZ2xZ2",), ("D8",), ("Q8",), ("Z9",),
-    ("Z3xZ3",), ("Z10",), ("D10",), ("Z11",), ("Z12",), ("Z2xZ6",), ("A4",),
-    ("D12",), ("Q12",), ("Z13",), ("Z14",), ("D14",), ("Z15",),
+_TABLE_NAMES = (
+    "Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "S3", "Z7", "Z8", "Z2xZ4",
+    "Z2xZ2xZ2", "D8", "Q8", "Z9", "Z3xZ3", "Z10", "D10", "Z11", "Z12", "Z2xZ6",
+    "A4", "D12", "Q12", "Z13", "Z14", "D14", "Z15",
 )
 
 
@@ -574,11 +544,6 @@ def _invariant_factor_chains(lo: int, hi: int):
         yield from extend((d1,), d1)
 
 
-def _abelian_from_chain(chain: tuple[int, ...]) -> GroupTable:
-    groups = [make_cyclic(d) for d in chain]
-    return reduce(direct_product, groups)
-
-
 @lru_cache(maxsize=None)
 def catalog(max_order: int) -> tuple[GroupTable, ...]:
     """The group catalog up to ``max_order``.
@@ -588,6 +553,12 @@ def catalog(max_order: int) -> tuple[GroupTable, ...]:
     curated, non-exhaustive extension (all abelian groups via invariant
     factors, dihedral, dicyclic and S4); reports must flag that range as
     non-exhaustive.
+
+    Each group is built once: ``catalog(15)`` builds the 28 small groups,
+    ``catalog(CATALOG_MAX_ORDER)`` appends the extension to those same
+    objects, and every other ``catalog(k)`` is the order filter of the
+    smallest of the two that covers it.  So a run that needs only the small
+    groups never builds the extension.
     """
     if max_order < 1:
         raise GroupError(f"catalog needs max_order >= 1, got {max_order}")
@@ -595,21 +566,20 @@ def catalog(max_order: int) -> tuple[GroupTable, ...]:
         raise GroupError(
             f"catalog capped at order {CATALOG_MAX_ORDER}, got {max_order}"
         )
-    groups = [group_from_name(r[0]) for r in _TABLE_RECIPES]
-    groups = [g for g in groups if g.order <= max_order]
-    if max_order > 15:
-        extension: list[GroupTable] = []
-        for chain in _invariant_factor_chains(16, max_order):
-            extension.append(_abelian_from_chain(chain))
-        for size in range(16, max_order + 1, 2):
-            extension.append(make_dihedral(size // 2))
-        for size in range(16, max_order + 1, 4):
-            extension.append(make_dicyclic(size // 4))
-        if max_order >= 24:
-            extension.append(make_symmetric(4))
-        extension.sort(key=lambda g: (g.order, g.name))
-        groups.extend(extension)
-    return tuple(groups)
+    if max_order == 15:
+        return tuple(map(group_from_name, _TABLE_NAMES))
+    if max_order < CATALOG_MAX_ORDER:
+        covering = catalog(15 if max_order < 15 else CATALOG_MAX_ORDER)
+        return tuple(g for g in covering if g.order <= max_order)
+    extension = [
+        reduce(direct_product, map(make_cyclic, chain))
+        for chain in _invariant_factor_chains(16, max_order)
+    ]
+    extension += [make_dihedral(size // 2) for size in range(16, max_order + 1, 2)]
+    extension += [make_dicyclic(size // 4) for size in range(16, max_order + 1, 4)]
+    extension.append(make_symmetric(4))
+    extension.sort(key=lambda g: (g.order, g.name))
+    return catalog(15) + tuple(extension)
 
 
 def format_cayley_table(g: GroupTable) -> str:

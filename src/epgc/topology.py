@@ -18,6 +18,10 @@ int ``(u*n + v)*2 + o`` and the used states are a bytearray with a live count;
 rotation links are per-vertex lists of neighbour ids, -1 while unset; edge
 signs are one list indexed by an edge-id matrix, -1 while unset.
 
+:func:`classify_surface` runs every certificate search (genus 0, genus 1,
+crosscap 1) through one step, which keeps the certificate it finds and
+records a search that ends without one, a budget-out as inconclusive.
+
 Two non-orientable facts are pinned as published constants rather than
 recomputed: the crosscap of K_{2,2,2,2} is 3 (Jungerman 1979) and the crosscap
 of K_{3,3,3} is 3 (Ellingham, Stephens and Zha 2006, Theorem 10).
@@ -593,22 +597,43 @@ def rotation_to_text(cert: RotationSystem) -> str:
 
 
 def rotation_from_text(text: str, graph: SimpleGraph) -> RotationSystem:
+    """Read back what :func:`rotation_to_text` writes, for ``graph``.
+
+    One ``v: w1 w2 ...`` line per vertex (a vertex with no line gets an
+    empty rotation) and at most one ``signs: u-v ...`` line listing the
+    twisted edges.  An :class:`EmbeddingError` names the line of a token
+    that is not an integer, a vertex outside the graph, a second line for a
+    vertex, a second signs line or a signed pair that is not an edge; the
+    rotations themselves are checked by :class:`RotationSystem`.
+    """
     rotations: dict[int, tuple[int, ...]] = {}
     signed = None
-    for ln in (s.strip() for s in text.splitlines()):
+    for no, ln in enumerate((s.strip() for s in text.splitlines()), 1):
         if not ln:
             continue
-        if ln.startswith("signs:"):
-            negatives = set()
-            for tok in ln[len("signs:"):].split():
-                a, _, b = tok.partition("-")
-                negatives.add(_edge_key(int(a), int(b)))
-            signed = tuple(
-                (e, -1 if e in negatives else 1) for e in sorted(graph.edges())
-            )
-            continue
         head, _, rest = ln.partition(":")
-        rotations[int(head)] = tuple(int(t) for t in rest.split())
+        try:
+            if head == "signs":
+                twisted = [_edge_key(*map(int, tok.partition("-")[::2])) for tok in rest.split()]
+            else:
+                v, rot = int(head), tuple(int(t) for t in rest.split())
+        except ValueError:
+            raise EmbeddingError(
+                f"line {no}: expected 'v: w ...' or 'signs: u-v ...' with integers, got {ln!r}"
+            ) from None
+        if head != "signs":
+            if not 0 <= v < graph.n:
+                raise EmbeddingError(f"line {no}: vertex {v} is not in the graph ({graph.n} vertices)")
+            if v in rotations:
+                raise EmbeddingError(f"line {no}: second rotation line for vertex {v}")
+            rotations[v] = rot
+            continue
+        if signed is not None:
+            raise EmbeddingError(f"line {no}: second signs line")
+        for u, w in twisted:
+            if not (0 <= u < w < graph.n and graph.has_edge(u, w)):
+                raise EmbeddingError(f"line {no}: signed pair {u}-{w} is not an edge")
+        signed = tuple((e, -1 if e in twisted else 1) for e in sorted(graph.edges()))
     rot = tuple(rotations.get(v, ()) for v in range(graph.n))
     return RotationSystem(graph, rot, signed)
 
@@ -644,6 +669,23 @@ def classify_surface(
     pinned = False
     budget_limited = False
 
+    def certify(target: int, orientable: bool) -> RotationSystem | None:
+        """The one certificate step: search one target, keep what it finds
+        and record a search that ends without one."""
+        nonlocal budget_limited
+        surface = "genus" if orientable else "crosscap"
+        try:
+            cert = search_embedding(reduced, target, orientable=orientable, budget=budget)
+        except SearchBudgetExceeded:
+            budget_limited = True
+            evidence.append(f"{surface}-{target} certificate search: budget exhausted (inconclusive)")
+            return None
+        if cert is None:
+            evidence.append(f"{surface}-{target} certificate search exhausted without a certificate")
+        else:
+            certificates[f"{surface}{target}"] = cert
+        return cert
+
     outer, outer_witness = is_outerplanar(reduced)
     if outer:
         evidence.append(f"outerplanar: {outer_witness}")
@@ -658,114 +700,61 @@ def classify_surface(
     planar = not (has_k5 or has_k33)
     if planar:
         evidence.append("planar: no K5 or K3,3 subdivision (exhaustive search)")
-        try:
-            cert0 = search_embedding(reduced, 0, orientable=True, budget=budget)
-        except SearchBudgetExceeded:
-            evidence.append("genus-0 certificate search: budget exhausted (inconclusive)")
-            return SurfaceVerdict(
-                group_name=name,
-                outerplanar=outer,
-                planar=True,
-                genus_lower=0,
-                genus_upper=None,
-                crosscap_lower=0,
-                crosscap_upper=None,
-                evidence=evidence,
-                budget_limited=True,
+        cert0 = certify(0, orientable=True)
+        if cert0 is not None:
+            evidence.append(
+                f"genus-0 rotation certificate verified ({len(face_walks(cert0))} faces)"
             )
-        if cert0 is None:
+        elif not budget_limited:
             raise EmbeddingError(
                 f"{name}: planar by subdivision search but no genus-0 certificate found"
             )
-        certificates["genus0"] = cert0
-        evidence.append(
-            f"genus-0 rotation certificate verified ({len(face_walks(cert0))} faces)"
-        )
-        return SurfaceVerdict(
-            group_name=name,
-            outerplanar=outer,
-            planar=True,
-            genus_lower=0,
-            genus_upper=0,
-            crosscap_lower=0,
-            crosscap_upper=0,
-            evidence=evidence,
-            certificates=certificates,
-        )
-
-    if has_k5:
-        evidence.append(
-            f"not planar: K5 subdivision on branch vertices {list(w5['branch_vertices'])}"
-        )
-    if has_k33:
-        evidence.append(
-            f"not planar: K3,3 subdivision on branch vertices {list(w33['branch_vertices'])}"
-        )
-    euler_genus, euler_crosscap, euler_line = euler_lower_bounds(reduced)
-    genus_lower, crosscap_lower = max(1, euler_genus), max(1, euler_crosscap)
-    evidence.append(euler_line)
-
-    genus_upper: int | None = None
-    crosscap_upper: int | None = None
-
-    parts = complete_multipartite_parts(reduced)
-    if parts is not None:
-        if all(p == 1 for p in parts):
-            r = len(parts)
-            genus_lower = genus_upper = genus_complete(r)
-            crosscap_lower = crosscap_upper = crosscap_complete(r)
+        genus_lower = crosscap_lower = 0
+        genus_upper = crosscap_upper = None if cert0 is None else 0
+    else:
+        if has_k5:
             evidence.append(
-                f"reduced graph is K{r}: genus = {genus_lower}, crosscap = {crosscap_lower}"
-                " by the complete-graph formulas"
-                + (" (K7 exceptional value)" if r == 7 else "")
+                f"not planar: K5 subdivision on branch vertices {list(w5['branch_vertices'])}"
             )
-        elif parts in PINNED_CROSSCAP:
-            value, citation = PINNED_CROSSCAP[parts]
-            crosscap_lower = crosscap_upper = value
-            sig = ",".join(str(p) for p in parts)
-            evidence.append(f"reduced graph is K_{{{sig}}}: {citation}")
-            pinned = True
+        if has_k33:
+            evidence.append(
+                f"not planar: K3,3 subdivision on branch vertices {list(w33['branch_vertices'])}"
+            )
+        euler_genus, euler_crosscap, euler_line = euler_lower_bounds(reduced)
+        genus_lower, crosscap_lower = max(1, euler_genus), max(1, euler_crosscap)
+        evidence.append(euler_line)
+        genus_upper = crosscap_upper = None
 
-    if genus_lower == 1 and (genus_upper is None or genus_upper == 1) and reduced.n <= SEARCH_MAX_VERTICES:
-        try:
-            cert1 = search_embedding(reduced, 1, orientable=True, budget=budget)
-        except SearchBudgetExceeded:
-            cert1 = None
-            budget_limited = True
-            evidence.append("genus-1 certificate search: budget exhausted (inconclusive)")
-        else:
-            if cert1 is not None:
-                genus_upper = 1
-                certificates["genus1"] = cert1
-                evidence.append("toroidal: genus-1 rotation certificate verified")
-            elif genus_upper is None:
+        parts = complete_multipartite_parts(reduced)
+        if parts is not None:
+            if all(p == 1 for p in parts):
+                r = len(parts)
+                genus_lower = genus_upper = genus_complete(r)
+                crosscap_lower = crosscap_upper = crosscap_complete(r)
                 evidence.append(
-                    "genus-1 certificate search exhausted without a certificate"
+                    f"reduced graph is K{r}: genus = {genus_lower}, crosscap = {crosscap_lower}"
+                    " by the complete-graph formulas"
+                    + (" (K7 exceptional value)" if r == 7 else "")
                 )
+            elif parts in PINNED_CROSSCAP:
+                value, citation = PINNED_CROSSCAP[parts]
+                crosscap_lower = crosscap_upper = value
+                sig = ",".join(str(p) for p in parts)
+                evidence.append(f"reduced graph is K_{{{sig}}}: {citation}")
+                pinned = True
 
-    if crosscap_upper is None and crosscap_lower == 1 and reduced.n <= SEARCH_MAX_VERTICES:
-        try:
-            certn = search_embedding(reduced, 1, orientable=False, budget=budget)
-        except SearchBudgetExceeded:
-            certn = None
-            budget_limited = True
-            evidence.append("crosscap-1 certificate search: budget exhausted (inconclusive)")
-        else:
-            if certn is not None:
-                crosscap_upper = 1
-                certificates["crosscap1"] = certn
-                evidence.append(
-                    "projective-planar: crosscap-1 signed rotation certificate verified"
-                )
-            else:
-                evidence.append(
-                    "crosscap-1 certificate search exhausted without a certificate"
-                )
+        searchable = reduced.n <= SEARCH_MAX_VERTICES
+        if searchable and genus_lower == 1 and genus_upper in (None, 1) and certify(1, True):
+            genus_upper = 1
+            evidence.append("toroidal: genus-1 rotation certificate verified")
+        if searchable and crosscap_lower == 1 and crosscap_upper is None and certify(1, False):
+            crosscap_upper = 1
+            evidence.append("projective-planar: crosscap-1 signed rotation certificate verified")
 
     return SurfaceVerdict(
         group_name=name,
         outerplanar=outer,
-        planar=False,
+        planar=planar,
         genus_lower=genus_lower,
         genus_upper=genus_upper,
         crosscap_lower=crosscap_lower,

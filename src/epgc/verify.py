@@ -11,12 +11,17 @@ that only a search cut short by its budget could have settled counts as open,
 not failed).
 Universally quantified claims are corroborated on the finite catalog, not
 proven; the notes say so explicitly.
+
+:func:`run_all` builds the bundle of each catalog group once and passes the
+same bundles to the six graph claims; a claim called on its own builds the
+bundles of ``catalog(15)``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .epg import EpgBundle, build_bundle, partition_by_maximal_cyclic
@@ -107,10 +112,6 @@ def _finish(claim_id, claim_text, entries, notes=(), partial=False) -> TheoremRe
     )
 
 
-def _bundles(groups: tuple[GroupTable, ...]) -> list[EpgBundle]:
-    return [build_bundle(g) for g in groups]
-
-
 def verify_table1(max_order: int = 15, fixtures: dict | None = None) -> TheoremReport:
     """Number and orders of maximal cyclic subgroups for every group of order
     at most 15, against the fixtures table."""
@@ -161,16 +162,14 @@ def verify_no_two_maximal(
 
 
 def verify_one_component(
-    groups: tuple[GroupTable, ...] | None = None, fixtures: dict | None = None
+    bundles: list[EpgBundle] | None = None, fixtures: dict | None = None
 ) -> TheoremReport:
     """Exactly one component of size >= 2 in the complement, for non-cyclic
     groups; cyclic groups are vacuous (edgeless complement)."""
     fixtures = fixtures or load_fixtures()
     fx = fixtures["one_component"]
-    if groups is None:
-        groups = catalog(15)
     entries = []
-    for b in _bundles(groups):
+    for b in map(build_bundle, catalog(15)) if bundles is None else bundles:
         name = b.group.name
         if b.is_cyclic_group:
             entries.append(_entry(name, "edgeless complement", None, status=VACUOUS))
@@ -189,16 +188,14 @@ def verify_one_component(
 
 
 def verify_bipartite_girth_perfect(
-    groups: tuple[GroupTable, ...] | None = None, fixtures: dict | None = None
+    bundles: list[EpgBundle] | None = None, fixtures: dict | None = None
 ) -> TheoremReport:
     """Bipartite iff cyclic; girth 3 or infinity; chi = omega = |M(G)| for
     non-cyclic groups (exact clique and coloring searches)."""
     fixtures = fixtures or load_fixtures()
     fx = fixtures["bipartite_girth_weakly_perfect"]
-    if groups is None:
-        groups = catalog(15)
     entries = []
-    for b in _bundles(groups):
+    for b in map(build_bundle, catalog(15)) if bundles is None else bundles:
         name = b.group.name
         bip, bip_witness = is_bipartite(b.complement)
         gi = girth(b.complement)
@@ -232,17 +229,15 @@ def verify_bipartite_girth_perfect(
 
 
 def verify_dominatable_complete(
-    groups: tuple[GroupTable, ...] | None = None, fixtures: dict | None = None
+    bundles: list[EpgBundle] | None = None, fixtures: dict | None = None
 ) -> TheoremReport:
     """Dominating vertex iff a maximal cyclic subgroup of order 2 exists;
     completeness exactly on the elementary abelian 2-groups."""
     fixtures = fixtures or load_fixtures()
     fx = fixtures["dominatable_complete"]
     complete_groups = set(fx["complete_groups"])
-    if groups is None:
-        groups = catalog(15)
     entries = []
-    for b in _bundles(groups):
+    for b in map(build_bundle, catalog(15)) if bundles is None else bundles:
         name = b.group.name
         if b.is_cyclic_group:
             entries.append(_entry(name, "empty reduced graph", None, status=VACUOUS))
@@ -279,20 +274,20 @@ def _eulerian_criterion(b: EpgBundle) -> bool:
     )
 
 
+DIHEDRAL_SWEEP = range(3, 11)  # D6 .. D20
+DICYCLIC_SWEEP = range(2, 11)  # Q8 .. Q40
+
+
 def verify_eulerian(
-    groups: tuple[GroupTable, ...] | None = None,
+    bundles: list[EpgBundle] | None = None,
     fixtures: dict | None = None,
-    dihedral_max: int = 10,
-    dicyclic_max: int = 10,
 ) -> TheoremReport:
     """The Eulerian iff-criterion over the catalog, plus the dihedral and
     dicyclic family sweeps and the 2-group corollary."""
     fixtures = fixtures or load_fixtures()
     fx = fixtures["eulerian"]
-    if groups is None:
-        groups = catalog(15)
     entries = []
-    for b in _bundles(groups):
+    for b in map(build_bundle, catalog(15)) if bundles is None else bundles:
         name = b.group.name
         if b.is_cyclic_group:
             entries.append(_entry(name, "empty reduced graph", None, status=VACUOUS))
@@ -306,7 +301,7 @@ def verify_eulerian(
             observed["two_group_eulerian"] = eulerian
             expected["two_group_eulerian"] = True
         entries.append(_entry(name, observed, expected))
-    for n in range(3, dihedral_max + 1):
+    for n in DIHEDRAL_SWEEP:
         b = build_bundle(make_dihedral(n))
         entries.append(
             _entry(
@@ -315,7 +310,7 @@ def verify_eulerian(
                 {"eulerian": n % 2 == 0},
             )
         )
-    for n in range(2, dicyclic_max + 1):
+    for n in DICYCLIC_SWEEP:
         b = build_bundle(make_dicyclic(n))
         entries.append(
             _entry(
@@ -332,7 +327,7 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def verify_c_cyclic(
-    groups: tuple[GroupTable, ...] | None = None, fixtures: dict | None = None
+    bundles: list[EpgBundle] | None = None, fixtures: dict | None = None
 ) -> TheoremReport:
     """Cyclomatic number of the reduced complement: 1 exactly for Z2xZ2, 5
     exactly for S3, never 2, 3 or 4."""
@@ -341,10 +336,8 @@ def verify_c_cyclic(
     unicyclic = set(fx["unicyclic_groups"])
     pentacyclic = set(fx["pentacyclic_groups"])
     forbidden = set(fx["forbidden_values"])
-    if groups is None:
-        groups = catalog(15)
     entries = []
-    for b in _bundles(groups):
+    for b in map(build_bundle, catalog(15)) if bundles is None else bundles:
         name = b.group.name
         if b.is_cyclic_group:
             entries.append(_entry(name, "empty reduced graph", None, status=VACUOUS))
@@ -371,7 +364,7 @@ def verify_c_cyclic(
 
 
 def verify_surface_classification(
-    groups: tuple[GroupTable, ...] | None = None,
+    bundles: list[EpgBundle] | None = None,
     fixtures: dict | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> TheoremReport:
@@ -380,8 +373,6 @@ def verify_surface_classification(
     crosscap-2 exclusion."""
     fixtures = fixtures or load_fixtures()
     fx = fixtures["surface_classification"]
-    if groups is None:
-        groups = catalog(15)
     expected_sets = {
         "outerplanar": set(fx["outerplanar"]),
         "planar": set(fx["planar"]),
@@ -392,7 +383,7 @@ def verify_surface_classification(
     min_crosscap = fx["min_crosscap_elsewhere"]
     entries = []
     partial = False
-    for b in _bundles(groups):
+    for b in map(build_bundle, catalog(15)) if bundles is None else bundles:
         name = b.group.name
         if b.is_cyclic_group:
             entries.append(_entry(name, "empty reduced graph", None, status=VACUOUS))
@@ -474,20 +465,20 @@ def run_all(
 ) -> list[TheoremReport]:
     """Run every theorem check and return the reports in a fixed order."""
     fixtures = fixtures or load_fixtures()
-    groups = catalog(max_order)
-    extension = catalog(32)
+    # built once, on first use, and shared by the six graph claims
+    bundles = cache(lambda: [build_bundle(g) for g in catalog(max_order)])
     runners = {
         "maximal-cyclic-table": lambda: verify_table1(max_order, fixtures),
-        "no-two-maximal": lambda: verify_no_two_maximal(extension, fixtures),
-        "one-component": lambda: verify_one_component(groups, fixtures),
+        "no-two-maximal": lambda: verify_no_two_maximal(catalog(32), fixtures),
+        "one-component": lambda: verify_one_component(bundles(), fixtures),
         "bipartite-girth-weakly-perfect": lambda: verify_bipartite_girth_perfect(
-            groups, fixtures
+            bundles(), fixtures
         ),
-        "dominatable-complete": lambda: verify_dominatable_complete(groups, fixtures),
-        "eulerian": lambda: verify_eulerian(groups, fixtures),
-        "cyclomatic-classification": lambda: verify_c_cyclic(groups, fixtures),
+        "dominatable-complete": lambda: verify_dominatable_complete(bundles(), fixtures),
+        "eulerian": lambda: verify_eulerian(bundles(), fixtures),
+        "cyclomatic-classification": lambda: verify_c_cyclic(bundles(), fixtures),
         "surface-classification": lambda: verify_surface_classification(
-            groups, fixtures, budget=budget
+            bundles(), fixtures, budget=budget
         ),
     }
     selected = claims if claims is not None else ALL_CLAIMS

@@ -86,7 +86,7 @@ def test_criterion_05_dominatable_and_complete():
 
 
 def test_criterion_06_eulerian():
-    report = verify_eulerian(dihedral_max=10, dicyclic_max=10)
+    report = verify_eulerian()
     sweeps = [e for e in report.per_group if "sweep" in e["group"]]
     two_groups = [
         e

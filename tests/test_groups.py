@@ -152,6 +152,18 @@ class TestValidateTable:
         with pytest.raises(GroupError, match="row 1, column 1"):
             validate_table([[0, 1], [1, 7]])
 
+    def test_bool_entry_is_not_an_integer(self):
+        with pytest.raises(GroupError, match=r"^entry at row 0, column 0 is False, not an integer$"):
+            validate_table([[False, True], [True, False]])
+
+    def test_non_int_entries_rejected_before_range(self):
+        with pytest.raises(GroupError, match=r"row 1, column 0 is 1\.0, not an integer"):
+            validate_table([[0, 1], [1.0, 0]])
+        with pytest.raises(GroupError, match=r"row 0, column 1 is True, not an integer"):
+            validate_table([[0, True], [1, 0]])
+        with pytest.raises(GroupError, match=r"is -1, outside \[0, 2\)"):
+            validate_table([[0, 1], [1, -1]])
+
     def test_associativity_violation_names_triple(self):
         # identity at 0, rows/columns Latin, but not associative
         table = [
@@ -384,6 +396,28 @@ class TestCatalog:
             catalog(0)
         with pytest.raises(GroupError):
             catalog(33)
+
+    def test_every_catalog_is_the_order_filter_of_the_full_one(self):
+        full = catalog(32)
+        for k in range(1, 33):
+            expected = [g for g in full if g.order <= k]
+            assert len(catalog(k)) == len(expected)
+            assert all(a is b for a, b in zip(catalog(k), expected))
+
+    def test_smaller_catalogs_build_no_tables(self, monkeypatch):
+        catalog.cache_clear()
+        catalog(32)
+        built = []
+        post_init = GroupTable.__post_init__
+
+        def counting(self):
+            built.append(self.name)
+            post_init(self)
+
+        monkeypatch.setattr(GroupTable, "__post_init__", counting)
+        assert len(catalog(15)) == 28
+        assert catalog(8)[-1].name == "Q8"
+        assert built == []
 
     def test_names_unique(self):
         names = [g.name for g in catalog(32)]

@@ -606,6 +606,29 @@ class TestCertificateIO:
         back = rotation_from_text(text, complete_bipartite(3, 3))
         assert verify_embedding(back) == ("nonorientable", 1)
 
+    K4_TEXT = "0: 1 3 2\n1: 0 2 3\n2: 0 3 1\n3: 0 1 2\n"
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("9: 1 2", "line 5: vertex 9 is not in the graph"),
+            ("-1: 2", "line 5: vertex -1 is not in the graph"),
+            ("signs: 0-9", "line 5: signed pair 0-9 is not an edge"),
+            ("signs: 2-2", "line 5: signed pair 2-2 is not an edge"),
+            ("0: 1 2 3", "line 5: second rotation line for vertex 0"),
+            ("zz: 1", "line 5: expected 'v: w ...' or 'signs: u-v ...' with integers, got 'zz: 1'"),
+            ("signs: 0-x", "line 5: expected .* got 'signs: 0-x'"),
+        ],
+    )
+    def test_bad_line_names_its_number(self, extra, message):
+        with pytest.raises(EmbeddingError, match=message):
+            rotation_from_text(self.K4_TEXT + extra + "\n", complete_graph(4))
+
+    def test_second_signs_line(self):
+        text = self.K4_TEXT + "signs: 0-1\n\nsigns:\n"
+        with pytest.raises(EmbeddingError, match="line 7: second signs line"):
+            rotation_from_text(text, complete_graph(4))
+
     def test_multipartite_detection(self):
         assert complete_multipartite_parts(complete_graph(7)) == (1,) * 7
         assert complete_multipartite_parts(complete_bipartite(2, 4)) == (2, 4)
