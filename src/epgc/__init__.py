@@ -10,7 +10,6 @@ from .epg import (
     EpgBundle,
     build_bundle,
     bundle_summary,
-    complement_degree,
     enhanced_power_graph,
     partition_by_maximal_cyclic,
 )
@@ -34,7 +33,6 @@ from .groups import (
     covering_union,
     direct_product,
     element_order,
-    generator_set,
     group_from_name,
     make_alternating,
     make_cyclic,

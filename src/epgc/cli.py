@@ -81,8 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the theorem harness")
     p_ver.add_argument("--max-order", type=int, default=15)
-    p_ver.add_argument("--all", action="store_true", help="run every claim (default)")
-    p_ver.add_argument("--claim", default=None, help="run a single claim id")
+    which = p_ver.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run every claim (default)")
+    which.add_argument("--claim", default=None, help="run a single claim id")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p_ver.add_argument("--verbose", action="store_true", help="list every per-group entry")

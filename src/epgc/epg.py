@@ -11,17 +11,10 @@ a direct sweep oracle in the tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .graphs import SimpleGraph, complement as graph_complement, induced_subgraph
-from .groups import (
-    GroupError,
-    GroupTable,
-    MaximalCyclicFamily,
-    covering_union,
-    maximal_cyclic_subgroups,
-)
+from .graphs import SimpleGraph, _from_rows, complement as graph_complement, induced_subgraph
+from .groups import GroupError, GroupTable, MaximalCyclicFamily, maximal_cyclic_subgroups
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,7 @@ def enhanced_power_graph(g: GroupTable, family: MaximalCyclicFamily | None = Non
             mask |= 1 << x
         for x in subgroup:
             rows[x] |= mask & ~(1 << x)
-    return SimpleGraph(g.order, rows=rows, tags=g.labels)
+    return _from_rows(g.order, rows=rows, tags=g.labels)
 
 
 def build_bundle(g: GroupTable, family: MaximalCyclicFamily | None = None) -> EpgBundle:
@@ -86,18 +79,6 @@ def build_bundle(g: GroupTable, family: MaximalCyclicFamily | None = None) -> Ep
         reduced=reduced,
         reduced_index_map=non_isolated,
     )
-
-
-def complement_degree(bundle: EpgBundle, x: int) -> int:
-    if not 0 <= x < bundle.group.order:
-        raise GroupError(f"element index {x} out of range")
-    return bundle.complement.degree(x)
-
-
-def covering_union_size(bundle: EpgBundle, x: int) -> int:
-    """|union of maximal cyclics containing x|; the complement degree of x is
-    |G| minus this."""
-    return len(covering_union(bundle.group, x, bundle.family))
 
 
 def partition_by_maximal_cyclic(bundle: EpgBundle) -> list[int]:
@@ -133,7 +114,3 @@ def bundle_summary(bundle: EpgBundle) -> dict:
             "reduced": bundle.reduced.edge_count,
         },
     }
-
-
-def bundle_summary_json(bundle: EpgBundle) -> str:
-    return json.dumps(bundle_summary(bundle), indent=2, sort_keys=True)

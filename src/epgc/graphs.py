@@ -7,6 +7,12 @@ exponential searches in :mod:`epgc.subgraphs` fast enough for graphs of a few
 dozen vertices.  :func:`girth`, which runs on every ingested table, works on
 whole rows: one AND per edge finds a triangle, and otherwise its BFS walks
 distance layers as bitsets and stops at 4, the floor without a triangle.
+
+Edges are checked where they enter, by the :class:`SimpleGraph` constructor.
+Graphs the library derives (complete graphs, complements, induced subgraphs
+and the enhanced power graph) are built from rows that are right by
+construction, through :func:`_from_rows`, which checks nothing; a test runs
+every such graph through the row checks instead.
 """
 
 from __future__ import annotations
@@ -24,44 +30,31 @@ class SimpleGraph:
     """Immutable undirected simple graph.
 
     ``adjacency_row(i)`` exposes the neighbor set of vertex i as a bitmask.
-    Optional ``tags`` carry display strings (group-element labels).
+    Optional ``tags`` carry display strings (group-element labels).  The
+    constructor checks its edges (in range, no loops) and tags; library rows
+    come in through :func:`_from_rows` unchecked, and ``TestLibraryGraphs``
+    covers them.
     """
 
     __slots__ = ("n", "_rows", "tags")
 
-    def __init__(self, n, edges=(), tags=None, rows=None):
+    def __init__(self, n, edges=(), tags=None):
         if n < 0:
             raise GraphError(f"vertex count must be >= 0, got {n}")
-        self.n = n
-        if rows is not None:
-            rows = tuple(rows)
-            if len(rows) != n:
-                raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
-            full = (1 << n) - 1
-            for i, r in enumerate(rows):
-                if r & ~full:
-                    raise GraphError(f"row {i} mentions vertices outside [0, {n})")
-                if r >> i & 1:
-                    raise GraphError(f"vertex {i} is adjacent to itself")
-            for i in range(n):
-                for j in _bits(rows[i]):
-                    if not rows[j] >> i & 1:
-                        raise GraphError(f"adjacency not symmetric at ({i}, {j})")
-            self._rows = rows
-        else:
-            mut = [0] * n
-            for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphError(f"edge ({u}, {v}) outside vertex range [0, {n})")
-                if u == v:
-                    raise GraphError(f"loop at vertex {u} not allowed")
-                mut[u] |= 1 << v
-                mut[v] |= 1 << u
-            self._rows = tuple(mut)
+        rows = [0] * n
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) outside vertex range [0, {n})")
+            if u == v:
+                raise GraphError(f"loop at vertex {u} not allowed")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         if tags is not None:
             tags = tuple(str(t) for t in tags)
             if len(tags) != n:
                 raise GraphError(f"expected {n} tags, got {len(tags)}")
+        self.n = n
+        self._rows = tuple(rows)
         self.tags = tags
 
     def adjacency_row(self, i):
@@ -109,9 +102,18 @@ def _bits(mask):
         mask ^= low
 
 
-def complete_graph(n, tags=None):
+def _from_rows(n, rows, tags=None):
+    """The graph with these adjacency rows and tags, taken as they are: the
+    library's own rows are symmetric, loopless and in range by construction,
+    so nothing is checked."""
+    g = object.__new__(SimpleGraph)
+    g.n, g._rows, g.tags = n, tuple(rows), tags
+    return g
+
+
+def complete_graph(n):
     full = (1 << n) - 1
-    return SimpleGraph(n, rows=[full & ~(1 << i) for i in range(n)], tags=tags)
+    return _from_rows(n, rows=[full & ~(1 << i) for i in range(n)])
 
 
 def complete_bipartite(a, b):
@@ -119,7 +121,7 @@ def complete_bipartite(a, b):
     amask = (1 << a) - 1
     bmask = ((1 << n) - 1) ^ amask
     rows = [bmask] * a + [amask] * b
-    return SimpleGraph(n, rows=rows)
+    return _from_rows(n, rows=rows)
 
 
 def cycle_graph(n):
@@ -131,7 +133,7 @@ def complement(g: SimpleGraph) -> SimpleGraph:
     they were not adjacent)."""
     full = (1 << g.n) - 1
     rows = [full & ~g.adjacency_row(i) & ~(1 << i) for i in range(g.n)]
-    return SimpleGraph(g.n, rows=rows, tags=g.tags)
+    return _from_rows(g.n, rows=rows, tags=g.tags)
 
 
 def induced_subgraph(g: SimpleGraph, vertices) -> SimpleGraph:
@@ -149,8 +151,8 @@ def induced_subgraph(g: SimpleGraph, vertices) -> SimpleGraph:
             if w in pos:
                 r |= 1 << pos[w]
         rows.append(r)
-    tags = None if g.tags is None else [g.tags[v] for v in vs]
-    return SimpleGraph(len(vs), rows=rows, tags=tags)
+    tags = None if g.tags is None else tuple(g.tags[v] for v in vs)
+    return _from_rows(len(vs), rows=rows, tags=tags)
 
 
 def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -301,22 +303,19 @@ def _odd_cycle(parent, u, w):
     return path_u + list(reversed(path_w))
 
 
-def is_eulerian(g: SimpleGraph, ignore_isolated: bool = True) -> bool:
+def is_eulerian(g: SimpleGraph) -> bool:
     """Closed-trail-through-every-edge test.
 
     True iff every degree is even and the positive-degree vertices form one
-    component.  With ``ignore_isolated=False`` the whole graph must be
-    connected instead.  An edgeless graph is vacuously Eulerian.
+    component; isolated vertices are ignored.  An edgeless graph is
+    vacuously Eulerian.
     """
     if any(g.degree(v) % 2 for v in range(g.n)):
         return False
     if g.edge_count == 0:
         return True
     comps = connected_components(g)
-    if ignore_isolated:
-        nontrivial = [c for c in comps if any(g.degree(v) > 0 for v in c)]
-        return len(nontrivial) == 1
-    return len(comps) == 1
+    return sum(len(c) > 1 for c in comps) == 1
 
 
 def cyclomatic_number(g: SimpleGraph) -> int:
@@ -348,26 +347,3 @@ def to_adjacency_text(g: SimpleGraph) -> str:
         nbrs = " ".join(str(w) for w in g.neighbors(v))
         lines.append(f"{v}: {nbrs}".rstrip())
     return "\n".join(lines) + "\n"
-
-
-def from_adjacency_text(text: str) -> SimpleGraph:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise GraphError("empty adjacency text")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise GraphError(f"first line must be the vertex count, got {lines[0]!r}")
-    edges = set()
-    for ln in lines[1:]:
-        head, _, rest = ln.partition(":")
-        try:
-            v = int(head)
-        except ValueError:
-            raise GraphError(f"bad vertex line {ln!r}")
-        for tok in rest.split():
-            w = int(tok)
-            if w == v:
-                raise GraphError(f"loop at vertex {v} not allowed")
-            edges.add((min(v, w), max(v, w)))
-    return SimpleGraph(n, edges=sorted(edges))

@@ -47,33 +47,21 @@ class GroupTable:
                 f" got {len(self.table)} rows and {len(self.labels)} labels"
             )
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inverse(self, a: int) -> int:
-        row = self.table[a]
-        for b in range(self.order):
-            if row[b] == 0:
-                return b
-        raise GroupError(f"element {a} has no inverse")  # unreachable: every row is Latin
-
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
 
 
 @dataclass(frozen=True)
 class MaximalCyclicFamily:
-    """The maximal cyclic subgroups of a group, with their generator sets.
+    """The maximal cyclic subgroups of a group.
 
-    ``subgroups[i]`` is the element set of the i-th maximal cyclic subgroup,
-    ``generators[i]`` the elements generating exactly that subgroup, and
-    ``sizes[i]`` its order.  Subgroups are sorted by (size desc, member list)
-    so the family is deterministic for a given table.
+    ``subgroups[i]`` is the element set of the i-th maximal cyclic subgroup
+    and ``sizes[i]`` its order.  Subgroups are sorted by (size desc, member
+    list) so the family is deterministic for a given table.
     """
 
     group_order: int
     subgroups: tuple[frozenset[int], ...]
-    generators: tuple[frozenset[int], ...]
     sizes: tuple[int, ...]
 
     @property
@@ -337,26 +325,14 @@ def maximal_cyclic_subgroups(g: GroupTable) -> MaximalCyclicFamily:
 
     Output is sorted by (size desc, sorted member list) for determinism.
     """
-    generated = [cyclic_subgroup(g, x) for x in range(g.order)]
-    distinct = set(generated)
+    distinct = {cyclic_subgroup(g, x) for x in range(g.order)}
     maximal = [s for s in distinct if not any(s < t for t in distinct)]
     maximal.sort(key=lambda s: (-len(s), sorted(s)))
-    generators = [
-        frozenset(x for x in range(g.order) if generated[x] == s) for s in maximal
-    ]
     return MaximalCyclicFamily(
         group_order=g.order,
         subgroups=tuple(maximal),
-        generators=tuple(generators),
         sizes=tuple(len(s) for s in maximal),
     )
-
-
-def generator_set(g: GroupTable, family: MaximalCyclicFamily | None = None) -> frozenset[int]:
-    """Elements generating some maximal cyclic subgroup."""
-    if family is None:
-        family = maximal_cyclic_subgroups(g)
-    return frozenset().union(*family.generators)
 
 
 def covering_union(g: GroupTable, x: int, family: MaximalCyclicFamily | None = None) -> frozenset[int]:

@@ -509,33 +509,24 @@ def euler_lower_bounds(g: SimpleGraph) -> tuple[int, int, str]:
     return genus_lb, crosscap_lb, f"{line}: genus >= {genus_lb}, crosscap >= {crosscap_lb}"
 
 
+def _first_subdivision(g: SimpleGraph, targets: tuple[str, str], names: str):
+    for target in targets:
+        found, witness = contains_subdivision(g, target)
+        if found:
+            return False, {"target": target, **witness}
+    return True, f"no {names} subdivision (exhaustive search)"
+
+
 def is_outerplanar(g: SimpleGraph):
-    """True iff the graph has no K4 and no K_{2,3} subdivision."""
-    ok4, w4 = contains_subdivision(g, "K4")
-    if ok4:
-        return False, {"target": "K4", **w4}
-    ok23, w23 = contains_subdivision(g, "K23")
-    if ok23:
-        return False, {"target": "K23", **w23}
-    return True, "no K4 or K2,3 subdivision (exhaustive search)"
+    """True iff the graph has no K4 and no K_{2,3} subdivision; a graph that
+    is not outerplanar gets the first of the two it contains as witness."""
+    return _first_subdivision(g, ("K4", "K23"), "K4 or K2,3")
 
 
 def is_planar(g: SimpleGraph):
-    """True iff the graph has no K5 and no K_{3,3} subdivision.
-
-    Graphs whose Euler bound already gives genus >= 1 are rejected before
-    any search.
-    """
-    genus_lb, _, euler_line = euler_lower_bounds(g)
-    if genus_lb >= 1:
-        return False, {"euler": euler_line}
-    ok5, w5 = contains_subdivision(g, "K5")
-    if ok5:
-        return False, {"target": "K5", **w5}
-    ok33, w33 = contains_subdivision(g, "K33")
-    if ok33:
-        return False, {"target": "K33", **w33}
-    return True, "no K5 or K3,3 subdivision (exhaustive search)"
+    """True iff the graph has no K5 and no K_{3,3} subdivision (Kuratowski);
+    a non-planar graph gets the first of the two it contains as witness."""
+    return _first_subdivision(g, ("K5", "K33"), "K5 or K3,3")
 
 
 def complete_multipartite_parts(g: SimpleGraph) -> tuple[int, ...] | None:
@@ -638,13 +629,24 @@ def rotation_from_text(text: str, graph: SimpleGraph) -> RotationSystem:
     return RotationSystem(graph, rot, signed)
 
 
+def _subdivision_line(prop: str, holds: bool, witness) -> str:
+    """The evidence line for what :func:`is_outerplanar` or
+    :func:`is_planar` returned."""
+    if holds:
+        return f"{prop}: {witness}"
+    target = "K3,3" if witness["target"] == "K33" else witness["target"]
+    return f"not {prop}: {target} subdivision on branch vertices {list(witness['branch_vertices'])}"
+
+
 def classify_surface(
     bundle: EpgBundle,
     budget: int = DEFAULT_BUDGET,
 ) -> SurfaceVerdict:
     """Full surface classification of the reduced complement of a group.
 
-    Combines exact forbidden-subdivision tests, the Euler lower bounds
+    Combines the exact forbidden-subdivision tests of :func:`is_outerplanar`
+    and :func:`is_planar` (a failed test names the first subdivision it
+    found), the Euler lower bounds
     (raised to 1 for a non-planar graph, and replaced by the exact values
     when the graph is complete), embedding certificates found by search, and
     the two pinned literature constants.  For cyclic groups the reduced graph
@@ -686,20 +688,11 @@ def classify_surface(
             certificates[f"{surface}{target}"] = cert
         return cert
 
-    outer, outer_witness = is_outerplanar(reduced)
-    if outer:
-        evidence.append(f"outerplanar: {outer_witness}")
-    else:
-        evidence.append(
-            f"not outerplanar: {outer_witness['target']} subdivision on branch "
-            f"vertices {list(outer_witness['branch_vertices'])}"
-        )
-
-    has_k5, w5 = contains_subdivision(reduced, "K5")
-    has_k33, w33 = contains_subdivision(reduced, "K33")
-    planar = not (has_k5 or has_k33)
+    outer, witness = is_outerplanar(reduced)
+    evidence.append(_subdivision_line("outerplanar", outer, witness))
+    planar, witness = is_planar(reduced)
+    evidence.append(_subdivision_line("planar", planar, witness))
     if planar:
-        evidence.append("planar: no K5 or K3,3 subdivision (exhaustive search)")
         cert0 = certify(0, orientable=True)
         if cert0 is not None:
             evidence.append(
@@ -712,14 +705,6 @@ def classify_surface(
         genus_lower = crosscap_lower = 0
         genus_upper = crosscap_upper = None if cert0 is None else 0
     else:
-        if has_k5:
-            evidence.append(
-                f"not planar: K5 subdivision on branch vertices {list(w5['branch_vertices'])}"
-            )
-        if has_k33:
-            evidence.append(
-                f"not planar: K3,3 subdivision on branch vertices {list(w33['branch_vertices'])}"
-            )
         euler_genus, euler_crosscap, euler_line = euler_lower_bounds(reduced)
         genus_lower, crosscap_lower = max(1, euler_genus), max(1, euler_crosscap)
         evidence.append(euler_line)

@@ -32,6 +32,17 @@ def epg_adjacency_by_sweep(g: GroupTable) -> set[tuple[int, int]]:
     return edges
 
 
+def generators_of(g: GroupTable, subgroup) -> frozenset[int]:
+    """Elements of ``subgroup`` that generate exactly it."""
+    return frozenset(x for x in subgroup if cyclic_subgroup(g, x) == subgroup)
+
+
+def maximal_generators(g: GroupTable) -> set[int]:
+    """Elements whose cyclic subgroup lies in no larger cyclic subgroup."""
+    subs = [cyclic_subgroup(g, x) for x in range(g.order)]
+    return {x for x, s in enumerate(subs) if not any(s < t for t in subs)}
+
+
 def graphs_isomorphic_brute(g: SimpleGraph, h: SimpleGraph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False

@@ -7,9 +7,9 @@ budgets.
 
 import time
 
-from epgc.epg import build_bundle, complement_degree, covering_union_size
+from epgc.epg import build_bundle
 from epgc.graphs import complete_bipartite, complete_graph
-from epgc.groups import catalog, maximal_cyclic_subgroups
+from epgc.groups import catalog, covering_union, maximal_cyclic_subgroups
 from epgc.topology import face_walks, search_embedding, verify_embedding
 from epgc.verify import (
     PARTIAL,
@@ -180,7 +180,7 @@ def test_criterion_09_oracle_equivalence_and_degrees():
         bundle = build_bundle(g)
         ok = ok and set(bundle.epg.edges()) == epg_adjacency_by_sweep(g)
         ok = ok and all(
-            complement_degree(bundle, x) == g.order - covering_union_size(bundle, x)
+            bundle.complement.degree(x) == g.order - len(covering_union(g, x, bundle.family))
             for x in range(g.order)
         )
     _report_line(

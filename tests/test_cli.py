@@ -134,6 +134,20 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: unknown claim id 'bogus'; known: maximal-cyclic-table")
 
+    def test_all_and_claim_together_is_a_usage_error(self, capsys, monkeypatch):
+        import epgc.verify as verify_mod
+
+        def must_not_run(**kwargs):
+            raise AssertionError("run_all called with both --all and --claim")
+
+        monkeypatch.setattr(verify_mod, "run_all", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--all", "--claim", "eulerian"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument --all" in captured.err
+
     def test_key_error_inside_a_claim_is_not_a_usage_error(self, monkeypatch):
         import epgc.verify as verify_mod
 

@@ -15,7 +15,6 @@ from epgc.graphs import (
     connected_components,
     cycle_graph,
     cyclomatic_number,
-    from_adjacency_text,
     girth,
     induced_subgraph,
     is_bipartite,
@@ -23,8 +22,15 @@ from epgc.graphs import (
     to_adjacency_text,
     to_dot,
 )
-from epgc.groups import catalog, generator_set, group_from_name
-from oracles import _connected_mask, girth_brute, graphs_isomorphic_brute, joined_avoiding
+from epgc.groups import catalog, group_from_name, make_dicyclic, make_dihedral
+from epgc.verify import DICYCLIC_SWEEP, DIHEDRAL_SWEEP
+from oracles import (
+    _connected_mask,
+    girth_brute,
+    graphs_isomorphic_brute,
+    joined_avoiding,
+    maximal_generators,
+)
 
 
 def random_graphs(max_n=12):
@@ -52,9 +58,9 @@ class TestConstruction:
         with pytest.raises(GraphError):
             SimpleGraph(3, edges=[(0, 3)])
 
-    def test_rejects_asymmetric_rows(self):
+    def test_rejects_tags_of_the_wrong_length(self):
         with pytest.raises(GraphError):
-            SimpleGraph(2, rows=[0b10, 0b00])
+            SimpleGraph(2, edges=[(0, 1)], tags=["a"])
 
     def test_basic_accessors(self):
         g = SimpleGraph(4, edges=[(0, 1), (1, 2)])
@@ -98,7 +104,7 @@ class TestInducedSubgraph:
     def test_s3_generators_induce_k5_minus_edge(self):
         # the two rotation generators are the only non-adjacent pair
         bundle = build_bundle(group_from_name("S3"))
-        gens = sorted(generator_set(bundle.group))
+        gens = sorted(maximal_generators(bundle.group))
         sub = induced_subgraph(bundle.complement, gens)
         assert sub.n == 5
         assert sub.edge_count == 9
@@ -274,8 +280,8 @@ class TestEulerian:
 
     def test_isolated_vertex_handling(self):
         g = SimpleGraph(4, edges=[(0, 1), (1, 2), (0, 2)])
-        assert is_eulerian(g, ignore_isolated=True)
-        assert not is_eulerian(g, ignore_isolated=False)
+        assert is_eulerian(g)
+        assert len(connected_components(g)) == 2
 
     def test_two_triangles_not_eulerian(self):
         g = SimpleGraph(6, edges=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -330,8 +336,70 @@ class TestSerialization:
 
     def test_adjacency_text_round_trip(self):
         g = complete_bipartite(2, 3)
-        assert from_adjacency_text(to_adjacency_text(g)) == g
+        text = to_adjacency_text(g)
+        assert text == "5\n0: 2 3 4\n1: 2 3 4\n2: 0 1\n3: 0 1\n4: 0 1\n"
+        head, *lines = text.splitlines()
+        edges = [
+            (int(v), int(w))
+            for v, _, rest in (ln.partition(":") for ln in lines)
+            for w in rest.split()
+        ]
+        assert SimpleGraph(int(head), edges=edges) == g
 
-    def test_adjacency_text_rejects_garbage(self):
-        with pytest.raises(GraphError):
-            from_adjacency_text("x\n")
+
+def assert_library_rows(g):
+    """The row checks the constructor applies to outside edges, for a graph
+    built from library rows: n rows, each inside [0, n), loopless and
+    symmetric, and n string tags when there are tags."""
+    full = (1 << g.n) - 1
+    assert len(g._rows) == g.n
+    for i, row in enumerate(g._rows):
+        assert row & ~full == 0, f"row {i} leaves [0, {g.n})"
+        assert not row >> i & 1, f"loop at {i}"
+        for j in range(g.n):
+            if row >> j & 1:
+                assert g._rows[j] >> i & 1, f"({i}, {j}) is not symmetric"
+    if g.tags is not None:
+        assert isinstance(g.tags, tuple) and len(g.tags) == g.n
+        assert all(isinstance(t, str) for t in g.tags)
+
+
+class TestLibraryGraphs:
+    """Library graphs skip the constructor's checks; this is their proof."""
+
+    def test_bundle_graphs(self):
+        groups = [
+            *catalog(32),
+            *map(make_dihedral, DIHEDRAL_SWEEP),
+            *map(make_dicyclic, DICYCLIC_SWEEP),
+        ]
+        for group in groups:
+            bundle = build_bundle(group)
+            for g in (bundle.epg, bundle.complement, bundle.reduced):
+                assert g.tags is not None, group.name
+                assert_library_rows(g)
+
+    def test_complete_graphs(self):
+        for n in range(9):
+            g = complete_graph(n)
+            assert_library_rows(g)
+            assert g.edge_count == n * (n - 1) // 2
+        for a in range(5):
+            for b in range(5):
+                g = complete_bipartite(a, b)
+                assert_library_rows(g)
+                assert g.edge_count == a * b
+
+    def test_induced_subgraphs(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = SimpleGraph(
+                n,
+                edges=rng.sample(pairs, rng.randint(0, len(pairs))),
+                tags=None if rng.random() < 0.5 else [f"t{v}" for v in range(n)],
+            )
+            sub = induced_subgraph(g, rng.sample(range(n), rng.randint(0, n)))
+            assert_library_rows(sub)
+            assert_library_rows(complement(sub))

@@ -368,29 +368,26 @@ class TestOuterplanarPlanar:
     def test_z2xz4_reduced_not_planar(self):
         bundle = build_bundle(group_from_name("Z2xZ4"))
         ok, witness = is_planar(bundle.reduced)
-        assert not ok
-        # the graph contains subdivisions of both obstructions; the K3,3
-        # used in the classification must be present as well
+        assert not ok and witness["target"] == "K5"
+        # is_planar stops at the K5 subdivision; a K3,3 one is present too
         from epgc.subgraphs import contains_subdivision
 
         assert contains_subdivision(bundle.reduced, "K33")[0]
 
-    def test_euler_bound_rejects_before_search(self, monkeypatch):
-        import epgc.topology as topology
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("the Euler bound should decide")
-
-        monkeypatch.setattr(topology, "contains_subdivision", no_search)
-        for g, k in ((complete_graph(6), 3), (complete_bipartite(3, 3), 4)):
+    def test_first_kuratowski_witness(self):
+        # K5 is looked for first, so only a graph without a K5 subdivision
+        # gets a K3,3 witness
+        for g, target, k in (
+            (complete_graph(6), "K5", 5),
+            (complete_bipartite(3, 3), "K33", 6),
+            (K6_PENDANT, "K5", 5),
+        ):
             ok, witness = is_planar(g)
             assert not ok
-            assert witness["euler"].startswith(f"Euler: faces of length >= {k} ")
-        # 16 edges on 7 vertices: the pendant edge is its own block, and the
-        # K6 block alone gives genus >= 1
-        ok, witness = is_planar(K6_PENDANT)
-        assert not ok
-        assert witness["euler"] == "Euler over 2 blocks: genus >= 1, crosscap >= 1"
+            assert witness["target"] == target
+            assert len(set(witness["branch_vertices"])) == k
+        # the pendant vertex 6 has degree 1, so it is no branch vertex
+        assert 6 not in is_planar(K6_PENDANT)[1]["branch_vertices"]
 
     def test_d8_reduced_contains_k5_on_claimed_vertices(self):
         bundle = build_bundle(group_from_name("D8"))
