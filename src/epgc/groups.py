@@ -476,10 +476,14 @@ def _family(fam: str, value: int) -> GroupTable:
     if key in ("Z", "ZN"):
         return make_cyclic(value)
     if key == "D":
+        if value < 4:
+            raise GroupError(f"dihedral order must be at least 4, got {value}")
         if value % 2 != 0:
             raise GroupError(f"dihedral order must be even, got {value}")
         return make_dihedral(value // 2)
     if key == "Q":
+        if value < 8:
+            raise GroupError(f"dicyclic order must be at least 8, got {value}")
         if value % 4 != 0:
             raise GroupError(f"dicyclic order must be divisible by 4, got {value}")
         return make_dicyclic(value // 4)

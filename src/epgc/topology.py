@@ -20,7 +20,14 @@ signs are one list indexed by an edge-id matrix, -1 while unset.
 
 :func:`classify_surface` runs every certificate search (genus 0, genus 1,
 crosscap 1) through one step, which keeps the certificate it finds and
-records a search that ends without one, a budget-out as inconclusive.
+records a search that ends without one, a budget-out as inconclusive.  That
+step first looks the graph up in ``fixtures/certificates.json``, which holds
+each certificate the search finds on the groups of order at most 15 with the
+least node budget that finds it: an entry is re-traced on use and stands in
+for the search only when it traces to exactly its surface, and a budget below
+its node count is the budget-out the search would hit.  So the search runs
+only for a graph with no entry or an entry that does not trace, and
+:func:`search_embedding` itself stays the raw search.
 
 Two non-orientable facts are pinned as published constants rather than
 recomputed: the crosscap of K_{2,2,2,2} is 3 (Jungerman 1979) and the crosscap
@@ -29,7 +36,10 @@ of K_{3,3,3} is 3 (Ellingham, Stephens and Zha 2006, Theorem 10).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from functools import cache
+from importlib import resources
 
 from .epg import EpgBundle
 from .graphs import (
@@ -629,6 +639,41 @@ def rotation_from_text(text: str, graph: SimpleGraph) -> RotationSystem:
     return RotationSystem(graph, rot, signed)
 
 
+@cache
+def _shipped_certificates() -> dict:
+    """``fixtures/certificates.json`` keyed by (surface, n, edges), read once
+    per process, on first use."""
+    path = resources.files("epgc") / "fixtures" / "certificates.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    return {(e["surface"], e["n"], tuple(map(tuple, e["edges"]))): e for e in entries}
+
+
+def _shipped_certificate(
+    g: SimpleGraph, target: int, orientable: bool, budget: int
+) -> RotationSystem | None:
+    """What :func:`search_embedding` would return or raise, read from the
+    shipped certificate for g at this target, or None when there is no entry
+    or it does not trace to exactly that surface.
+
+    An entry's ``nodes`` is the least budget at which the search finds its
+    certificate, so a smaller budget raises the budget-out the search would.
+    """
+    surface = f"{'genus' if orientable else 'crosscap'}{target}"
+    entry = _shipped_certificates().get((surface, g.n, tuple(g.edges())))
+    if entry is None or budget < 1:
+        # argument errors are the search's to raise
+        return None
+    if budget < entry["nodes"]:
+        raise SearchBudgetExceeded(budget + 1)
+    try:
+        cert = rotation_from_text(entry["rotation"], g)
+        traced = verify_embedding(cert)
+    except EmbeddingError:
+        return None
+    kind = "orientable" if orientable else "nonorientable"
+    return cert if traced == (kind, target) else None
+
+
 def _subdivision_line(prop: str, holds: bool, witness) -> str:
     """The evidence line for what :func:`is_outerplanar` or
     :func:`is_planar` returned."""
@@ -648,9 +693,13 @@ def classify_surface(
     and :func:`is_planar` (a failed test names the first subdivision it
     found), the Euler lower bounds
     (raised to 1 for a non-planar graph, and replaced by the exact values
-    when the graph is complete), embedding certificates found by search, and
+    when the graph is complete), embedding certificates, and
     the two pinned literature constants.  For cyclic groups the reduced graph
     is empty and the verdict is vacuous.
+
+    A certificate shipped for the reduced graph is traced instead of searched
+    for (see :func:`_shipped_certificate`); it is the one the search would
+    find at ``budget``, so the verdict is the one the search would give.
     """
     name = bundle.group.name
     reduced = bundle.reduced
@@ -677,7 +726,9 @@ def classify_surface(
         nonlocal budget_limited
         surface = "genus" if orientable else "crosscap"
         try:
-            cert = search_embedding(reduced, target, orientable=orientable, budget=budget)
+            cert = _shipped_certificate(reduced, target, orientable, budget)
+            if cert is None:
+                cert = search_embedding(reduced, target, orientable=orientable, budget=budget)
         except SearchBudgetExceeded:
             budget_limited = True
             evidence.append(f"{surface}-{target} certificate search: budget exhausted (inconclusive)")

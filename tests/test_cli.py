@@ -23,6 +23,20 @@ class TestShow:
         assert main(["show", "--group", "XYZ"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "selector,message",
+        [
+            ("D2", "dihedral order must be at least 4, got 2"),
+            ("D:2", "dihedral order must be at least 4, got 2"),
+            ("Q4", "dicyclic order must be at least 8, got 4"),
+        ],
+    )
+    def test_too_small_order_usage_error(self, capsys, selector, message):
+        assert main(["show", "--group", selector]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestBuild:
     def test_d8_reduced_dot(self, capsys):

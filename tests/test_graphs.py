@@ -379,6 +379,18 @@ class TestLibraryGraphs:
                 assert g.tags is not None, group.name
                 assert_library_rows(g)
 
+    def test_isolated_set_is_the_family_intersection(self):
+        groups = [
+            *catalog(32),
+            *map(make_dihedral, DIHEDRAL_SWEEP),
+            *map(make_dicyclic, DICYCLIC_SWEEP),
+        ]
+        for group in groups:
+            bundle = build_bundle(group)
+            subgroups = bundle.family.subgroups
+            assert all(0 <= x < group.order for s in subgroups for x in s), group.name
+            assert bundle.isolated == frozenset.intersection(*subgroups), group.name
+
     def test_complete_graphs(self):
         for n in range(9):
             g = complete_graph(n)

@@ -490,6 +490,21 @@ class TestSelectors:
         with pytest.raises(GroupError):
             group_from_name("Q:10")
 
+    @pytest.mark.parametrize(
+        "selector,message",
+        [
+            ("D2", "dihedral order must be at least 4, got 2"),
+            ("D:2", "dihedral order must be at least 4, got 2"),
+            ("D:-4", "dihedral order must be at least 4, got -4"),
+            ("Q4", "dicyclic order must be at least 8, got 4"),
+            ("Q:0", "dicyclic order must be at least 8, got 0"),
+            ("Z2xD2", "dihedral order must be at least 4, got 2"),
+        ],
+    )
+    def test_too_small_order_is_named_as_typed(self, selector, message):
+        with pytest.raises(GroupError, match=f"^{message}$"):
+            group_from_name(selector)
+
 
 class TestCayleyTableIO:
     def test_round_trip(self):

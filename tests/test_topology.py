@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -36,6 +37,7 @@ from epgc.topology import (
     verdict_to_dict,
     verify_embedding,
 )
+from epgc.verify import reports_to_json, run_all
 from oracles import connected_graphs, embeds_exactly, map_surface
 
 
@@ -630,3 +632,108 @@ class TestCertificateIO:
         assert complete_multipartite_parts(complete_graph(7)) == (1,) * 7
         assert complete_multipartite_parts(complete_bipartite(2, 4)) == (2, 4)
         assert complete_multipartite_parts(cycle_graph(5)) is None
+
+
+SHIPPED = list(topology._shipped_certificates().values())
+
+
+def shipped_target(entry):
+    """(target, orientable) of a shipped entry's surface name."""
+    kind, target = re.fullmatch(r"(genus|crosscap)(\d+)", entry["surface"]).groups()
+    return int(target), kind == "genus"
+
+
+def shipped_graph(entry):
+    return SimpleGraph(entry["n"], edges=[tuple(e) for e in entry["edges"]])
+
+
+def shipped_for(g, table=None):
+    """The (key, entry) pairs of the shipped table that are about graph g."""
+    table = topology._shipped_certificates() if table is None else table
+    return [(k, e) for k, e in table.items() if k[1:] == (g.n, tuple(g.edges()))]
+
+
+def search_only(monkeypatch):
+    """Switch the shipped table off, so every certificate comes from a search."""
+    monkeypatch.setattr(topology, "_shipped_certificates", lambda: {})
+
+
+class TestShippedCertificates:
+    """``fixtures/certificates.json`` holds each certificate the search finds
+    on catalog(15), with the least budget that finds it; classify_surface
+    re-traces an entry instead of searching, and falls back to the search on
+    an entry that does not trace."""
+
+    ids = [f"{e['surface']}-n{e['n']}-m{len(e['edges'])}" for e in SHIPPED]
+
+    @pytest.mark.parametrize("entry", SHIPPED, ids=ids)
+    def test_entry_is_what_the_search_finds(self, entry):
+        g, (target, orientable) = shipped_graph(entry), shipped_target(entry)
+        cert = search_embedding(g, target, orientable=orientable, budget=entry["nodes"])
+        assert rotation_to_text(cert) == entry["rotation"]
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search_embedding(g, target, orientable=orientable, budget=entry["nodes"] - 1)
+        assert exc.value.nodes == entry["nodes"]
+
+    @pytest.mark.parametrize("entry", SHIPPED, ids=ids)
+    def test_entry_traces_to_its_surface(self, entry):
+        target, orientable = shipped_target(entry)
+        cert = rotation_from_text(entry["rotation"], shipped_graph(entry))
+        assert verify_embedding(cert) == ("orientable" if orientable else "nonorientable", target)
+
+    def test_run_all_runs_no_search(self, monkeypatch):
+        search_only(monkeypatch)
+        searched = reports_to_json(run_all())
+        monkeypatch.undo()
+
+        def must_not_search(*args, **kwargs):
+            raise AssertionError("run_all ran an embedding search")
+
+        monkeypatch.setattr(topology, "search_embedding", must_not_search)
+        assert reports_to_json(run_all()) == searched
+
+    @pytest.mark.parametrize(
+        "name", ["Z2xZ2", "S3", "Z2xZ4", "Z2xZ2xZ2", "D8", "Q8", "Z3xZ3", "Z2xZ6"]
+    )
+    def test_budget_rule_matches_the_search(self, monkeypatch, name):
+        bundle = build_bundle(group_from_name(name))
+        nodes = [e["nodes"] for _, e in shipped_for(bundle.reduced)]
+        assert nodes
+        budgets = sorted({1, 2, 100, *nodes, *(k - 1 for k in nodes if k > 1)})
+        shipped = [verdict_to_dict(classify_surface(bundle, budget=b)) for b in budgets]
+        search_only(monkeypatch)
+        assert shipped == [verdict_to_dict(classify_surface(bundle, budget=b)) for b in budgets]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text, other: text.replace("0:", "0: x", 1),
+            lambda text, other: text.replace("\n", " 0\n", 1),
+            lambda text, other: other,
+        ],
+        ids=["unparsable", "not-a-rotation", "other-surface"],
+    )
+    def test_corrupted_entry_falls_back_to_the_search(self, monkeypatch, corrupt):
+        # D8 has a genus-1 and a crosscap-1 entry; "other-surface" swaps them
+        bundle = build_bundle(group_from_name("D8"))
+        expected = verdict_to_dict(classify_surface(bundle))
+        table = dict(topology._shipped_certificates())
+        pairs = shipped_for(bundle.reduced, table)
+        assert len(pairs) == 2
+        for (k, e), (_, other) in zip(pairs, pairs[::-1]):
+            table[k] = {**e, "rotation": corrupt(e["rotation"], other["rotation"])}
+        monkeypatch.setattr(topology, "_shipped_certificates", lambda: table)
+        searches = []
+        search = topology.search_embedding
+
+        def counted(*args, **kwargs):
+            searches.append(args[1:])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(topology, "search_embedding", counted)
+        assert verdict_to_dict(classify_surface(bundle)) == expected
+        assert len(searches) == 2
+
+    def test_argument_errors_are_the_searchs(self):
+        with pytest.raises(GraphError, match="budget must be at least 1, got 0"):
+            classify_surface(build_bundle(group_from_name("D8")), budget=0)
